@@ -1,34 +1,22 @@
-//! Cross-process dispatch: supervised shard *child processes*.
+//! The shared half of dispatch: configuration, shard layout, outcomes,
+//! merge, and circuit-breaker reconciliation.
 //!
-//! [`dispatch`] is the distributed counterpart of [`crate::shard`]'s
-//! in-process fan-out: each shard of the experiment list runs in its own
-//! child process (the `experiments` binary re-invokes itself with
-//! `run --shards 1` over the shard's slice), writes its artifacts —
-//! a telemetry snapshot (`--metrics-out`, events included), a serialized
-//! [`RunArtifact`] (`--report-out`), and a heartbeat file — into a
-//! per-shard scratch directory, and is supervised by a parent-side
-//! watcher thread:
-//!
-//! * **crash detection** — a nonzero or signal exit fails the attempt;
-//! * **deadlines** — a child outliving the per-shard wall-clock budget is
-//!   killed;
-//! * **liveness** — a child whose heartbeat file stops growing for longer
-//!   than the grace window is declared hung and killed, even if the
-//!   deadline has not elapsed;
-//! * **retry** — failed shards are re-spawned up to a retry budget, with
-//!   the same deterministic-jitter [`Backoff`] schedule the in-process
-//!   runner uses.
+//! [`crate::remote::dispatch_remote`] runs the one supervision ladder:
+//! every shard attempt is a *lease* of the shard's slice to a worker —
+//! a long-lived remote daemon from `--workers`, or a fresh local worker
+//! child on loopback started for that attempt alone. This module holds
+//! what the ladder hands back and how the pieces fold into one run.
 //!
 //! Because every per-experiment decision derives from `(seed, experiment
-//! code, attempt)` alone, a re-spawned shard reproduces its predecessor's
-//! events exactly, and the merged canonical journal of a K-process
+//! code, attempt)` alone, a re-leased shard reproduces its predecessor's
+//! events exactly, and the merged canonical journal of a K-shard
 //! dispatch is **byte-identical** to the in-process 1-shard run of the
 //! same seed — including runs where chaos killed and retried shards along
-//! the way. The merge strips each child's `run-start`/`run-end` boundary
-//! events, re-bases its 0-based spec indices onto the shard's slice
-//! offset, stamps shard provenance, and emits a single run-level
-//! `run-start`/`run-end` pair around the canonical `(class, spec, seq)`
-//! sort.
+//! the way. The merge ([`merge_outcomes`]) strips each worker's
+//! `run-start`/`run-end` boundary events, re-bases its 0-based spec
+//! indices onto the shard's slice offset, stamps shard provenance, and
+//! emits a single run-level `run-start`/`run-end` pair around the
+//! canonical `(class, spec, seq)` sort.
 //!
 //! Shards that exhaust their retries either fail the dispatch loudly
 //! ([`DispatchError::ShardsFailed`]) or — under `allow_partial` — degrade
@@ -37,116 +25,39 @@
 //! code. Circuit-breaker state is reconciled at merge time
 //! ([`reconcile_breakers`]): per-family failure counts are summed across
 //! shards and families that would have been open globally are flagged,
-//! since per-child breakers cannot see failures on sibling shards.
-//!
-//! Process-level fault injection for tests and CI rides on the
-//! [`CHAOS_ENV`] environment variable: [`ChaosProc`] specs (`kill:2`,
-//! `hang:1:0`, `kill:2:1`) make the parent set the variable on matching
-//! `(shard, attempt)` spawns, and a cooperating child self-kills or
-//! sleeps past its deadline — so the crash, hang, retry, and degradation
-//! paths are deterministically exercisable.
+//! since per-worker breakers cannot see failures on sibling shards.
 
-use crate::backoff::Backoff;
 use crate::report::{RunArtifact, RunReport};
 use crate::runner::{run_start_detail, RunnerConfig, SupervisedRun};
 use humnet_telemetry::{spec_order_in_place, Event, Telemetry, TelemetrySnapshot};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitStatus, Stdio};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Environment variable a dispatch parent sets on chaos-selected child
-/// spawns; a cooperating child reads it before doing any work.
-/// `kill` → exit immediately with code 137 (simulated crash);
-/// `hang` → sleep silently past any deadline (simulated wedge).
-pub const CHAOS_ENV: &str = "HUMNET_CHAOS_PROC";
-
-/// Exit code a chaos-killed child terminates with (mirrors `128 + SIGKILL`).
-pub const CHAOS_KILL_CODE: i32 = 137;
-
-/// One process-level fault injection: which shard, which spawn attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosProc {
-    /// Child self-kills immediately (`kill:<shard>[:attempt]`, attempt 0
-    /// by default).
-    Kill {
-        /// Targeted shard index.
-        shard: u32,
-        /// Spawn attempt the fault fires on (0 = first).
-        attempt: u32,
-    },
-    /// Child sleeps past its deadline without heartbeating
-    /// (`hang:<shard>[:attempt]`).
-    Hang {
-        /// Targeted shard index.
-        shard: u32,
-        /// Spawn attempt the fault fires on (0 = first).
-        attempt: u32,
-    },
-}
-
-impl ChaosProc {
-    /// Parse a `--chaos-proc` argument: `kill:<shard>[:attempt]` or
-    /// `hang:<shard>[:attempt]`.
-    pub fn parse(s: &str) -> Option<ChaosProc> {
-        let mut parts = s.split(':');
-        let kind = parts.next()?;
-        let shard: u32 = parts.next()?.parse().ok()?;
-        let attempt: u32 = match parts.next() {
-            Some(a) => a.parse().ok()?,
-            None => 0,
-        };
-        if parts.next().is_some() {
-            return None;
-        }
-        match kind {
-            "kill" => Some(ChaosProc::Kill { shard, attempt }),
-            "hang" => Some(ChaosProc::Hang { shard, attempt }),
-            _ => None,
-        }
-    }
-
-    /// The [`CHAOS_ENV`] value to set when spawning `(shard, attempt)`,
-    /// if this fault targets it.
-    pub fn env_value(&self, shard: u32, attempt: u32) -> Option<&'static str> {
-        match *self {
-            ChaosProc::Kill { shard: s, attempt: a } if s == shard && a == attempt => Some("kill"),
-            ChaosProc::Hang { shard: s, attempt: a } if s == shard && a == attempt => Some("hang"),
-            _ => None,
-        }
-    }
-}
-
-/// Knobs for the cross-process dispatcher.
+/// Knobs for the dispatch ladder.
 #[derive(Debug, Clone)]
 pub struct DispatchConfig {
-    /// Extra spawn attempts per shard after the first (0 = no retry).
+    /// Extra lease attempts per shard after the first (0 = no retry).
     pub shard_retries: u32,
-    /// Per-attempt wall-clock budget for one child process.
+    /// Per-attempt wall-clock budget for one lease.
     pub shard_deadline: Duration,
-    /// Maximum heartbeat silence before a live child is declared hung and
-    /// killed. Zero disables liveness checking (the deadline still holds).
+    /// Maximum frame silence before a lease is revoked. Zero disables
+    /// liveness checking (the deadline still holds).
     pub liveness: Duration,
-    /// Supervision poll interval.
-    pub poll: Duration,
     /// Degrade to a partial merged result instead of failing the dispatch
     /// when a shard exhausts its retries.
     pub allow_partial: bool,
-    /// Process-level fault injections (testing/CI).
-    pub chaos: Vec<ChaosProc>,
-    /// Scratch directory holding the per-shard artifact directories.
+    /// Scratch directory holding the per-shard attempt directories.
     pub scratch: PathBuf,
     /// Base delay for the shard-retry backoff schedule.
     pub backoff_base: Duration,
     /// Seed for the retry backoff jitter (per-shard streams derive from it).
     pub seed: u64,
     /// Keep per-(shard, attempt) scratch directories after a successful
-    /// attempt instead of removing them once their artifacts are parsed.
-    /// Failed attempts always keep theirs — the child log is the only
-    /// evidence of what went wrong.
+    /// attempt, with the done frame's artifacts written into them. Failed
+    /// local attempts always keep theirs — the worker child's log is the
+    /// only evidence of what went wrong.
     pub keep_scratch: bool,
 }
 
@@ -156,9 +67,7 @@ impl Default for DispatchConfig {
             shard_retries: 1,
             shard_deadline: Duration::from_secs(120),
             liveness: Duration::from_secs(10),
-            poll: Duration::from_millis(15),
             allow_partial: false,
-            chaos: Vec::new(),
             scratch: std::env::temp_dir().join(format!("humnet-dispatch-{}", std::process::id())),
             backoff_base: Duration::from_millis(25),
             seed: 42,
@@ -179,26 +88,27 @@ pub struct ShardSpec {
     pub codes: Vec<String>,
 }
 
-/// Filesystem layout of one shard attempt's artifacts. Attempt-scoped so
-/// a retry can never be confused with its crashed predecessor's leftovers.
+/// Filesystem layout of one shard attempt. Attempt-scoped so a retry can
+/// never be confused with its crashed predecessor's leftovers.
 #[derive(Debug, Clone)]
 pub struct ShardPaths {
     /// The attempt's scratch directory.
     pub dir: PathBuf,
     /// Shard index.
     pub shard: u32,
-    /// Spawn attempt (0 = first).
+    /// Lease attempt (0 = first).
     pub attempt: u32,
-    /// Telemetry snapshot JSON the child writes (`--metrics-out`).
+    /// The done frame's telemetry snapshot JSON (under `keep_scratch`).
     pub metrics: PathBuf,
-    /// Serialized [`RunArtifact`] JSON the child writes (`--report-out`).
+    /// The done frame's serialized [`RunArtifact`] JSON (under
+    /// `keep_scratch`).
     pub report: PathBuf,
-    /// Event journal JSONL the child writes (`--journal-out`; kept for
-    /// debugging — the merge reads events from the metrics snapshot).
+    /// The done frame's event journal JSONL (under `keep_scratch`).
     pub journal: PathBuf,
-    /// Heartbeat file the child appends to; the parent polls its growth.
-    pub heartbeat: PathBuf,
-    /// Captured child stdout+stderr.
+    /// Where a local worker child writes its bound address once
+    /// listening (`worker --ready-file`).
+    pub ready: PathBuf,
+    /// Captured stdout+stderr of a local worker child.
     pub log: PathBuf,
 }
 
@@ -210,7 +120,7 @@ impl ShardPaths {
             metrics: dir.join("metrics.json"),
             report: dir.join("report.json"),
             journal: dir.join("journal.jsonl"),
-            heartbeat: dir.join("heartbeat"),
+            ready: dir.join("ready"),
             log: dir.join("child.log"),
             shard,
             attempt,
@@ -222,36 +132,23 @@ impl ShardPaths {
 /// Why one shard attempt failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum AttemptFailure {
+    /// A local worker child never became ready to take the lease.
     Spawn(String),
-    Exited(String),
-    TimedOut(Duration),
-    Hung(Duration),
-    Artifact(String),
-    /// A remote lease failed ([`crate::remote`]); the message carries the
-    /// worker address and the connection-level reason.
-    Remote(String),
+    /// The lease failed; the message carries the worker address and the
+    /// connection-level reason.
+    Lease(String),
 }
 
 impl fmt::Display for AttemptFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AttemptFailure::Spawn(e) => write!(f, "failed to spawn child: {e}"),
-            AttemptFailure::Exited(status) => write!(f, "child exited abnormally ({status})"),
-            AttemptFailure::TimedOut(d) => {
-                write!(f, "child exceeded the {}ms shard deadline; killed", d.as_millis())
-            }
-            AttemptFailure::Hung(d) => write!(
-                f,
-                "no heartbeat for {}ms; child declared hung and killed",
-                d.as_millis()
-            ),
-            AttemptFailure::Artifact(e) => write!(f, "child artifacts unusable: {e}"),
-            AttemptFailure::Remote(e) => write!(f, "{e}"),
+            AttemptFailure::Spawn(e) => write!(f, "local worker did not start: {e}"),
+            AttemptFailure::Lease(e) => write!(f, "{e}"),
         }
     }
 }
 
-/// What a successful shard hands back after artifact parsing.
+/// What a successful shard hands back: its parsed done frame.
 pub(crate) struct ShardYield {
     pub(crate) artifact: RunArtifact,
     pub(crate) telemetry: TelemetrySnapshot,
@@ -269,7 +166,7 @@ pub(crate) struct ShardOutcome {
 pub struct MissingShard {
     /// Shard index.
     pub shard: u32,
-    /// Spawn attempts consumed.
+    /// Lease attempts consumed.
     pub attempts: u32,
     /// Experiment codes the merged run is missing because of it.
     pub codes: Vec<String>,
@@ -325,7 +222,7 @@ pub struct FamilyBreakerState {
     pub open_globally: bool,
 }
 
-/// Cross-shard breaker view: per-child breakers only see their own shard's
+/// Cross-shard breaker view: per-worker breakers only see their own shard's
 /// failures, so the merge sums per-family failure counts and flags
 /// families a run-wide breaker would have opened. (Consecutiveness cannot
 /// be reconstructed across shards; the global view over-approximates by
@@ -402,7 +299,7 @@ pub fn reconcile_breakers(report: &RunReport, threshold: u32) -> BreakerReconcil
     }
 }
 
-/// Result of a cross-process dispatch.
+/// Result of a dispatch.
 #[derive(Debug)]
 pub struct DispatchOutcome {
     /// The merged run (report, outputs, telemetry) over every shard that
@@ -413,7 +310,7 @@ pub struct DispatchOutcome {
     pub missing: Vec<MissingShard>,
     /// Cross-shard circuit-breaker view of the merged report.
     pub reconciliation: BreakerReconciliation,
-    /// Spawn attempts consumed per shard, in shard order.
+    /// Lease attempts consumed per shard, in shard order.
     pub shard_attempts: Vec<u32>,
 }
 
@@ -474,217 +371,16 @@ impl DispatchOutcome {
     }
 }
 
-/// Run `shards` as supervised child processes and merge their artifacts.
-///
-/// `build` constructs the child [`Command`] for one shard attempt — the
-/// `experiments` binary passes a self-invocation (`current_exe` +
-/// `run --shards 1 …`), tests can substitute anything that writes the
-/// artifact files. The dispatcher owns everything around the command:
-/// scratch directories, chaos environment stamping, stdio capture into
-/// the attempt's log file, kill-on-deadline, heartbeat liveness, retry
-/// with deterministic backoff, artifact parsing, and the final merge.
-///
-/// Shards with empty `codes` are skipped without spawning (they could not
-/// contribute events or report rows).
-pub fn dispatch<F>(
-    config: &DispatchConfig,
-    runner: &RunnerConfig,
-    shards: Vec<ShardSpec>,
-    build: F,
-) -> Result<DispatchOutcome, DispatchError>
-where
-    F: Fn(&ShardSpec, &ShardPaths) -> Command + Sync,
-{
-    fs::create_dir_all(&config.scratch).map_err(|e| DispatchError::Scratch(e.to_string()))?;
-    let planned: usize = shards.iter().map(|s| s.codes.len()).sum();
-
-    let outcomes: Vec<ShardOutcome> = thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .filter(|spec| !spec.codes.is_empty())
-            .map(|spec| scope.spawn(|| supervise_shard(config, spec, &build)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard watcher never panics"))
-            .collect()
-    });
-
-    let missing: Vec<MissingShard> = outcomes
-        .iter()
-        .filter_map(|o| match &o.result {
-            Ok(_) => None,
-            Err(failure) => Some(MissingShard {
-                shard: o.spec.shard,
-                attempts: o.attempts,
-                codes: o.spec.codes.clone(),
-                reason: failure.to_string(),
-            }),
-        })
-        .collect();
-    if !missing.is_empty() && !config.allow_partial {
-        return Err(DispatchError::ShardsFailed(missing));
-    }
-
-    Ok(merge_outcomes(runner, planned, outcomes, missing))
-}
-
-/// Supervise one shard: spawn, watch, retry. Returns the last attempt's
-/// parsed artifacts or the last failure. Also the local-failover rung of
-/// [`crate::remote::dispatch_remote`]'s ladder.
-pub(crate) fn supervise_shard<F>(config: &DispatchConfig, spec: ShardSpec, build: &F) -> ShardOutcome
-where
-    F: Fn(&ShardSpec, &ShardPaths) -> Command,
-{
-    let backoff = Backoff::for_shard(config.backoff_base, config.seed, spec.shard);
-    let mut last = AttemptFailure::Spawn("never attempted".to_owned());
-    let mut attempts = 0;
-    for attempt in 0..=config.shard_retries {
-        if attempt > 0 {
-            eprintln!(
-                "dispatch: shard {} attempt {attempt} after failure: {last}",
-                spec.shard
-            );
-            thread::sleep(backoff.delay(attempt - 1));
-        }
-        attempts += 1;
-        match run_attempt(config, &spec, attempt, build) {
-            Ok(yielded) => {
-                return ShardOutcome {
-                    spec,
-                    attempts,
-                    result: Ok(yielded),
-                };
-            }
-            Err(failure) => last = failure,
-        }
-    }
-    eprintln!(
-        "dispatch: shard {} gave up after {attempts} attempts: {last}",
-        spec.shard
-    );
-    ShardOutcome {
-        spec,
-        attempts,
-        result: Err(last),
-    }
-}
-
-/// One spawn-watch-collect cycle for a shard attempt.
-fn run_attempt<F>(
-    config: &DispatchConfig,
-    spec: &ShardSpec,
-    attempt: u32,
-    build: &F,
-) -> Result<ShardYield, AttemptFailure>
-where
-    F: Fn(&ShardSpec, &ShardPaths) -> Command,
-{
-    let paths = ShardPaths::new(&config.scratch, spec.shard, attempt);
-    fs::create_dir_all(&paths.dir).map_err(|e| AttemptFailure::Spawn(e.to_string()))?;
-
-    let mut cmd = build(spec, &paths);
-    cmd.env_remove(CHAOS_ENV);
-    if let Some(value) = config
-        .chaos
-        .iter()
-        .find_map(|c| c.env_value(spec.shard, attempt))
-    {
-        cmd.env(CHAOS_ENV, value);
-    }
-    let log = fs::File::create(&paths.log).map_err(|e| AttemptFailure::Spawn(e.to_string()))?;
-    let log_err = log.try_clone().map_err(|e| AttemptFailure::Spawn(e.to_string()))?;
-    cmd.stdin(Stdio::null()).stdout(log).stderr(log_err);
-
-    let mut child = cmd.spawn().map_err(|e| AttemptFailure::Spawn(e.to_string()))?;
-    match watch(&mut child, &paths, config) {
-        Verdict::Exited(status) if status.success() => {
-            let yielded = collect(&paths)?;
-            // Artifacts are in memory now; the attempt dir has served its
-            // purpose. (A collect failure above keeps the dir: unusable
-            // artifacts are exactly when you want to inspect them.)
-            if !config.keep_scratch {
-                let _ = fs::remove_dir_all(&paths.dir);
-            }
-            Ok(yielded)
-        }
-        Verdict::Exited(status) => Err(AttemptFailure::Exited(status.to_string())),
-        Verdict::TimedOut => {
-            let _ = child.kill();
-            let _ = child.wait();
-            Err(AttemptFailure::TimedOut(config.shard_deadline))
-        }
-        Verdict::Hung(silence) => {
-            let _ = child.kill();
-            let _ = child.wait();
-            Err(AttemptFailure::Hung(silence))
-        }
-    }
-}
-
-/// How a watched child attempt ended.
-enum Verdict {
-    Exited(ExitStatus),
-    TimedOut,
-    Hung(Duration),
-}
-
-/// Poll the child until it exits, overruns the shard deadline, or stops
-/// heartbeating for longer than the liveness grace.
-fn watch(child: &mut Child, paths: &ShardPaths, config: &DispatchConfig) -> Verdict {
-    let started = Instant::now();
-    let mut hb_len = 0u64;
-    let mut hb_seen = Instant::now();
-    loop {
-        match child.try_wait() {
-            Ok(Some(status)) => return Verdict::Exited(status),
-            Ok(None) => {}
-            // try_wait errors are transient at worst; treat as still-running
-            // and let the deadline bound the damage.
-            Err(_) => {}
-        }
-        if started.elapsed() >= config.shard_deadline {
-            return Verdict::TimedOut;
-        }
-        if !config.liveness.is_zero() {
-            let len = fs::metadata(&paths.heartbeat).map(|m| m.len()).unwrap_or(0);
-            if len > hb_len {
-                hb_len = len;
-                hb_seen = Instant::now();
-            } else if hb_seen.elapsed() >= config.liveness {
-                return Verdict::Hung(hb_seen.elapsed());
-            }
-        }
-        thread::sleep(config.poll);
-    }
-}
-
-/// Parse a completed attempt's artifacts back into a [`ShardYield`].
-fn collect(paths: &ShardPaths) -> Result<ShardYield, AttemptFailure> {
-    let metrics = fs::read_to_string(&paths.metrics)
-        .map_err(|e| AttemptFailure::Artifact(format!("read {}: {e}", paths.metrics.display())))?;
-    let telemetry = TelemetrySnapshot::from_json(&metrics).map_err(|e| {
-        AttemptFailure::Artifact(format!("parse {}: {e}", paths.metrics.display()))
-    })?;
-    let report = fs::read_to_string(&paths.report)
-        .map_err(|e| AttemptFailure::Artifact(format!("read {}: {e}", paths.report.display())))?;
-    let artifact = RunArtifact::from_json(&report).map_err(|e| {
-        AttemptFailure::Artifact(format!("parse {}: {e}", paths.report.display()))
-    })?;
-    Ok(ShardYield { artifact, telemetry })
-}
-
 /// Fold the per-shard results into one run-level [`SupervisedRun`].
 ///
-/// Differences from the in-process [`crate::merge_runs`]: child processes
-/// already recorded their report metrics (`runner.experiments`, statuses,
-/// …) into their own snapshots — and counters over a partition sum to the
-/// run total — so the merge must *not* re-record them; and each child's
+/// Differences from the in-process [`crate::merge_runs`]: workers already
+/// recorded their report metrics (`runner.experiments`, statuses, …) into
+/// their own snapshots — and counters over a partition sum to the run
+/// total — so the merge must *not* re-record them; and each worker's
 /// journal carries its own `run-start`/`run-end` pair plus 0-based spec
 /// indices, which the merge strips and re-bases before the canonical sort.
-/// Shared verbatim with [`crate::remote::dispatch_remote`] — a worker's
-/// final frame and a child's artifact files parse into the same
-/// [`ShardYield`], so remote and local shards merge identically.
+/// Remote and local workers answer with the same done frame, so their
+/// shards merge identically.
 pub(crate) fn merge_outcomes(
     runner: &RunnerConfig,
     planned: usize,
@@ -757,29 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_specs_parse_and_match() {
-        assert_eq!(
-            ChaosProc::parse("kill:2"),
-            Some(ChaosProc::Kill { shard: 2, attempt: 0 })
-        );
-        assert_eq!(
-            ChaosProc::parse("kill:2:1"),
-            Some(ChaosProc::Kill { shard: 2, attempt: 1 })
-        );
-        assert_eq!(
-            ChaosProc::parse("hang:0"),
-            Some(ChaosProc::Hang { shard: 0, attempt: 0 })
-        );
-        for bad in ["", "kill", "kill:", "kill:x", "boom:1", "kill:1:2:3"] {
-            assert_eq!(ChaosProc::parse(bad), None, "{bad:?}");
-        }
-        let c = ChaosProc::parse("kill:2:1").unwrap();
-        assert_eq!(c.env_value(2, 1), Some("kill"));
-        assert_eq!(c.env_value(2, 0), None);
-        assert_eq!(c.env_value(1, 1), None);
-    }
-
-    #[test]
     fn reconciliation_sums_failures_across_shards() {
         // Two shards each saw one 'sick' failure: below the local threshold
         // of 2 everywhere, but globally the family would have been open.
@@ -819,309 +492,5 @@ mod tests {
         let rec = reconcile_breakers(&report, 2);
         assert!(rec.families.is_empty());
         assert_eq!(rec.render(), "");
-    }
-
-    // -- process-level tests against /bin/sh fake children ----------------
-
-    fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "humnet-dispatch-test-{}-{tag}",
-            std::process::id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn quick_config(tag: &str) -> DispatchConfig {
-        DispatchConfig {
-            shard_retries: 1,
-            shard_deadline: Duration::from_secs(20),
-            liveness: Duration::ZERO,
-            poll: Duration::from_millis(5),
-            backoff_base: Duration::from_millis(1),
-            scratch: scratch(tag),
-            ..DispatchConfig::default()
-        }
-    }
-
-    fn shard_spec(shard: u32, spec_base: u64, codes: &[&str]) -> ShardSpec {
-        ShardSpec {
-            shard,
-            spec_base,
-            codes: codes.iter().map(|s| (*s).to_owned()).collect(),
-        }
-    }
-
-    /// A `sh` child that writes valid single-experiment artifacts, as a
-    /// child `experiments run --shards 1` invocation would.
-    fn good_child(spec: &ShardSpec, paths: &ShardPaths) -> Command {
-        let code = spec.codes[0].clone();
-        let tel = Telemetry::new();
-        tel.event(Event::new("run-start", "profile=none seed=1"));
-        tel.event(Event::new("experiment-start", "t").in_experiment(&code).with_spec(0));
-        tel.event(
-            Event::new("experiment-end", "ok faults=0")
-                .with_attempt(0)
-                .in_experiment(&code)
-                .with_spec(0),
-        );
-        tel.event(Event::new("run-end", "1 experiments: 1 ok"));
-        tel.counter("runner.experiments", 1);
-        let metrics = tel.into_snapshot().to_json().unwrap();
-        let artifact = RunArtifact {
-            report: RunReport {
-                experiments: vec![row(&code, "fam", ExperimentStatus::Ok, 1)],
-                profile: "none".to_owned(),
-                seed: 1,
-                code_rev: String::new(),
-            },
-            outputs: std::iter::once((code.clone(), format!("{code} output"))).collect(),
-        };
-        let mut cmd = Command::new("sh");
-        cmd.arg("-c").arg(format!(
-            "cat > {m} <<'HUMNET_EOF_M'\n{metrics}\nHUMNET_EOF_M\ncat > {r} <<'HUMNET_EOF_R'\n{report}\nHUMNET_EOF_R\n",
-            m = shell_quote(&paths.metrics),
-            r = shell_quote(&paths.report),
-            report = artifact.to_json().unwrap(),
-        ));
-        cmd
-    }
-
-    fn shell_quote(p: &Path) -> String {
-        format!("'{}'", p.display())
-    }
-
-    #[test]
-    fn crash_on_first_attempt_is_retried_to_success() {
-        let config = quick_config("retry");
-        let specs = vec![shard_spec(0, 0, &["e0"]), shard_spec(1, 1, &["e1"])];
-        let outcome = dispatch(&config, &RunnerConfig::default(), specs, |spec, paths| {
-            if spec.shard == 1 && paths.attempt == 0 {
-                let mut cmd = Command::new("sh");
-                cmd.arg("-c").arg("exit 7");
-                cmd
-            } else {
-                good_child(spec, paths)
-            }
-        })
-        .unwrap();
-        assert!(!outcome.degraded());
-        assert_eq!(outcome.shard_attempts, vec![1, 2]);
-        assert_eq!(outcome.exit_code(), 0);
-        assert_eq!(outcome.run.report.experiments.len(), 2);
-        assert_eq!(outcome.run.outputs["e1"], "e1 output");
-        assert_eq!(
-            outcome.run.telemetry.metrics.counters["dispatch.shard.1.attempts"],
-            2
-        );
-        assert!(outcome.render_summary().contains("complete after retries"));
-        let _ = fs::remove_dir_all(&config.scratch);
-    }
-
-    #[test]
-    fn exhausted_retries_fail_loudly_without_allow_partial() {
-        let mut config = quick_config("loud");
-        config.shard_retries = 1;
-        let specs = vec![shard_spec(0, 0, &["e0"])];
-        let err = dispatch(&config, &RunnerConfig::default(), specs, |_, _| {
-            let mut cmd = Command::new("sh");
-            cmd.arg("-c").arg("exit 3");
-            cmd
-        })
-        .unwrap_err();
-        let DispatchError::ShardsFailed(missing) = &err else {
-            panic!("expected ShardsFailed, got {err:?}");
-        };
-        assert_eq!(missing.len(), 1);
-        assert_eq!(missing[0].shard, 0);
-        assert_eq!(missing[0].attempts, 2);
-        assert_eq!(missing[0].codes, vec!["e0"]);
-        assert!(err.to_string().contains("shard 0"), "{err}");
-        let _ = fs::remove_dir_all(&config.scratch);
-    }
-
-    #[test]
-    fn allow_partial_degrades_and_names_the_missing_shard() {
-        let mut config = quick_config("partial");
-        config.allow_partial = true;
-        config.shard_retries = 0;
-        let specs = vec![shard_spec(0, 0, &["e0"]), shard_spec(1, 1, &["e1"])];
-        let outcome = dispatch(&config, &RunnerConfig::default(), specs, |spec, paths| {
-            if spec.shard == 1 {
-                let mut cmd = Command::new("sh");
-                cmd.arg("-c").arg("exit 9");
-                cmd
-            } else {
-                good_child(spec, paths)
-            }
-        })
-        .unwrap();
-        assert!(outcome.degraded());
-        assert_eq!(outcome.exit_code(), 3);
-        assert_eq!(outcome.missing.len(), 1);
-        assert_eq!(outcome.missing[0].shard, 1);
-        assert_eq!(outcome.missing[0].codes, vec!["e1"]);
-        // The surviving shard's results are intact.
-        assert_eq!(outcome.run.report.experiments.len(), 1);
-        assert_eq!(outcome.run.outputs["e0"], "e0 output");
-        let summary = outcome.render_summary();
-        assert!(summary.contains("DEGRADED"), "{summary}");
-        assert!(summary.contains("missing shard 1"), "{summary}");
-        assert!(summary.contains("e1"), "{summary}");
-        assert_eq!(
-            outcome.run.telemetry.metrics.counters["dispatch.shards_missing"],
-            1
-        );
-        let _ = fs::remove_dir_all(&config.scratch);
-    }
-
-    #[test]
-    fn deadline_overrun_is_killed_and_reported() {
-        let mut config = quick_config("deadline");
-        config.shard_deadline = Duration::from_millis(120);
-        config.shard_retries = 0;
-        config.allow_partial = true;
-        let started = Instant::now();
-        let outcome = dispatch(
-            &config,
-            &RunnerConfig::default(),
-            vec![shard_spec(0, 0, &["e0"])],
-            |_, _| {
-                let mut cmd = Command::new("sh");
-                cmd.arg("-c").arg("sleep 30");
-                cmd
-            },
-        )
-        .unwrap();
-        assert!(started.elapsed() < Duration::from_secs(10), "child was killed");
-        assert!(outcome.degraded());
-        assert!(outcome.missing[0].reason.contains("shard deadline"), "{}", outcome.missing[0].reason);
-        let _ = fs::remove_dir_all(&config.scratch);
-    }
-
-    #[test]
-    fn heartbeat_silence_is_declared_hung_before_the_deadline() {
-        let mut config = quick_config("hung");
-        config.shard_deadline = Duration::from_secs(30);
-        config.liveness = Duration::from_millis(150);
-        config.shard_retries = 0;
-        config.allow_partial = true;
-        let started = Instant::now();
-        let outcome = dispatch(
-            &config,
-            &RunnerConfig::default(),
-            vec![shard_spec(0, 0, &["e0"])],
-            |_, _| {
-                // Never writes a heartbeat: liveness fires long before the
-                // 30s deadline would.
-                let mut cmd = Command::new("sh");
-                cmd.arg("-c").arg("sleep 30");
-                cmd
-            },
-        )
-        .unwrap();
-        assert!(started.elapsed() < Duration::from_secs(10), "hung child was killed early");
-        assert!(outcome.degraded());
-        assert!(outcome.missing[0].reason.contains("no heartbeat"), "{}", outcome.missing[0].reason);
-        let _ = fs::remove_dir_all(&config.scratch);
-    }
-
-    #[test]
-    fn garbage_artifacts_count_as_a_failed_attempt() {
-        let mut config = quick_config("garbage");
-        config.shard_retries = 0;
-        config.allow_partial = true;
-        let outcome = dispatch(
-            &config,
-            &RunnerConfig::default(),
-            vec![shard_spec(0, 0, &["e0"])],
-            |_, paths| {
-                let mut cmd = Command::new("sh");
-                cmd.arg("-c")
-                    .arg(format!("echo not-json > {}", shell_quote(&paths.metrics)));
-                cmd
-            },
-        )
-        .unwrap();
-        assert!(outcome.degraded());
-        assert!(outcome.missing[0].reason.contains("artifacts unusable"), "{}", outcome.missing[0].reason);
-        let _ = fs::remove_dir_all(&config.scratch);
-    }
-
-    #[test]
-    fn merged_journal_rebases_specs_and_brackets_once() {
-        let config = quick_config("merge");
-        let specs = vec![shard_spec(0, 0, &["e0"]), shard_spec(1, 1, &["e1"])];
-        let outcome = dispatch(&config, &RunnerConfig::default(), specs, good_child).unwrap();
-        let events = &outcome.run.telemetry.events;
-        // Exactly one run-start / run-end pair, at the boundaries.
-        assert_eq!(events.first().unwrap().kind, "run-start");
-        assert_eq!(events.last().unwrap().kind, "run-end");
-        assert_eq!(events.iter().filter(|e| e.kind == "run-start").count(), 1);
-        assert_eq!(events.iter().filter(|e| e.kind == "run-end").count(), 1);
-        // Shard 1's events were re-based from spec 0 to spec 1 and stamped.
-        let e1_start = events
-            .iter()
-            .find(|e| e.kind == "experiment-start" && e.experiment == "e1")
-            .unwrap();
-        assert_eq!(e1_start.spec, Some(1));
-        assert_eq!(e1_start.shard, Some(1));
-        // Child counters summed without re-recording.
-        assert_eq!(outcome.run.telemetry.metrics.counters["runner.experiments"], 2);
-        // Seqs are dense after the canonical sort.
-        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, (0..events.len() as u64).collect::<Vec<_>>());
-        let _ = fs::remove_dir_all(&config.scratch);
-    }
-
-    #[test]
-    fn successful_attempt_dirs_are_cleaned_and_failed_ones_kept() {
-        let config = quick_config("lifecycle");
-        let specs = vec![shard_spec(0, 0, &["e0"]), shard_spec(1, 1, &["e1"])];
-        let outcome = dispatch(&config, &RunnerConfig::default(), specs, |spec, paths| {
-            if spec.shard == 1 && paths.attempt == 0 {
-                let mut cmd = Command::new("sh");
-                cmd.arg("-c").arg("exit 7");
-                cmd
-            } else {
-                good_child(spec, paths)
-            }
-        })
-        .unwrap();
-        assert!(!outcome.degraded());
-        // Parsed-and-merged attempts leave nothing behind …
-        assert!(!ShardPaths::new(&config.scratch, 0, 0).dir.exists());
-        assert!(!ShardPaths::new(&config.scratch, 1, 1).dir.exists());
-        // … but the crashed first attempt of shard 1 keeps its log.
-        assert!(ShardPaths::new(&config.scratch, 1, 0).dir.exists());
-        let _ = fs::remove_dir_all(&config.scratch);
-    }
-
-    #[test]
-    fn keep_scratch_preserves_successful_attempt_dirs() {
-        let mut config = quick_config("keep");
-        config.keep_scratch = true;
-        let specs = vec![shard_spec(0, 0, &["e0"])];
-        let outcome =
-            dispatch(&config, &RunnerConfig::default(), specs, good_child).unwrap();
-        assert!(!outcome.degraded());
-        let kept = ShardPaths::new(&config.scratch, 0, 0);
-        assert!(kept.dir.exists());
-        assert!(kept.report.exists());
-        let _ = fs::remove_dir_all(&config.scratch);
-    }
-
-    #[test]
-    fn empty_shards_are_not_spawned() {
-        let config = quick_config("empty");
-        let specs = vec![shard_spec(0, 0, &["e0"]), shard_spec(1, 1, &[])];
-        let outcome = dispatch(&config, &RunnerConfig::default(), specs, |spec, paths| {
-            assert_ne!(spec.shard, 1, "empty shard must not spawn");
-            good_child(spec, paths)
-        })
-        .unwrap();
-        assert_eq!(outcome.shard_attempts, vec![1]);
-        assert_eq!(outcome.run.report.experiments.len(), 1);
-        let _ = fs::remove_dir_all(&config.scratch);
     }
 }

@@ -22,17 +22,15 @@
 //! 6. [`replay`] — reconstruct a past run's configuration and fault
 //!    schedule from its captured journal, re-execute it, and diff the
 //!    canonical event streams.
-//! 7. [`dispatch`] — the cross-process counterpart of [`shard`]:
-//!    supervised shard *child processes* with heartbeat liveness,
-//!    per-shard deadlines, crash retry, graceful partial-result
-//!    degradation, and merge-time circuit-breaker reconciliation — still
-//!    byte-identical to the in-process 1-shard run.
-//! 8. [`remote`] — the cross-machine tier: shard-slice *leases* over a
-//!    line-delimited TCP worker protocol with inline heartbeats,
-//!    connection-level liveness and deadline revocation, retry rotated
-//!    across surviving workers, local child-process failover, and
-//!    `--chaos-net` partition/stall/garble injection — same merge, same
-//!    byte-identity.
+//! 7. [`dispatch`] and [`remote`] — the cross-process counterpart of
+//!    [`shard`]: one supervision ladder that leases shard slices over a
+//!    line-delimited TCP worker protocol ([`framing`]) to remote worker
+//!    daemons or fresh local worker children on loopback, with inline
+//!    heartbeats, liveness and deadline revocation, deterministic-backoff
+//!    retry, local failover, `--chaos-net` kill/stall/garble injection,
+//!    graceful partial-result degradation, and merge-time circuit-breaker
+//!    reconciliation — still byte-identical to the in-process 1-shard
+//!    run.
 
 pub mod backoff;
 
@@ -48,6 +46,7 @@ pub fn code_rev() -> String {
 pub mod breaker;
 pub mod dispatch;
 pub mod fault;
+pub mod framing;
 pub mod remote;
 pub mod replay;
 pub mod report;
@@ -58,13 +57,13 @@ pub mod shard;
 pub use backoff::Backoff;
 pub use breaker::{Admission, CircuitBreaker};
 pub use dispatch::{
-    dispatch, reconcile_breakers, BreakerReconciliation, ChaosProc, DispatchConfig,
-    DispatchError, DispatchOutcome, FamilyBreakerState, MissingShard, ShardPaths, ShardSpec,
-    CHAOS_ENV, CHAOS_KILL_CODE,
+    reconcile_breakers, BreakerReconciliation, DispatchConfig, DispatchError, DispatchOutcome,
+    FamilyBreakerState, MissingShard, ShardPaths, ShardSpec,
 };
 pub use fault::{
     FaultHook, FaultKind, FaultPlan, FaultProfile, InstrumentedHook, NoFaults, PlanHook,
 };
+pub use framing::LineBuffer;
 pub use remote::{
     dispatch_remote, ChaosKind, ChaosNet, Lease, RemoteOptions, Worker, WorkerChaos,
     WorkerConfig, WorkerFactory, WorkerFrame, WorkerSummary, CHAOS_NET_ENV,

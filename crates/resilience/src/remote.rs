@@ -1,58 +1,62 @@
-//! Cross-machine dispatch: supervised shard leases over TCP workers.
+//! The dispatch ladder: supervised shard leases over TCP workers.
 //!
-//! The remote tier of the distributed run driver. A [`Worker`] is a
-//! long-lived daemon (the `experiments worker` subcommand) listening on a
-//! TCP socket for line-delimited JSON frames — the same framing idiom the
-//! serve daemon's protocol uses. The dispatcher leases it one shard slice
-//! at a time ([`Lease`]): experiment codes, spec-base offset, and the full
-//! run configuration tuple (`seed`, `profile`, `intensity`, `retries`,
-//! `deadline_ms`, `breaker_cooldown`). The worker executes the slice on
-//! its warm in-process scheduler runtime (exactly as a `run --shards 1`
-//! dispatch child would), streams heartbeat frames inline on the
-//! connection while the run is in flight, and returns the serialized
-//! [`RunArtifact`] + telemetry snapshot + event journal as the final
-//! `done` frame.
+//! A [`Worker`] is a long-lived daemon (the `experiments worker`
+//! subcommand) listening on a TCP socket for line-delimited JSON frames,
+//! framed by the same [`LineBuffer`] the serve daemon uses. The
+//! dispatcher leases it one shard slice at a time ([`Lease`]): experiment
+//! codes, spec-base offset, and the full run configuration tuple (`seed`,
+//! `profile`, `intensity`, `retries`, `deadline_ms`, `breaker_cooldown`).
+//! The worker executes the slice on its warm in-process scheduler
+//! runtime, streams heartbeat frames inline on the connection while the
+//! run is in flight, and returns the serialized [`RunArtifact`] +
+//! telemetry snapshot + event journal as the final `done` frame.
 //!
-//! [`dispatch_remote`] gives leased shards the *same supervision contract*
-//! [`crate::dispatch`] gives local child processes, translated to
-//! connection terms:
+//! [`dispatch_remote`] runs one attempt loop per shard with two kinds of
+//! target:
 //!
-//! * **crash detection** — a worker that closes the connection (or was
-//!   never reachable) fails the attempt;
+//! * a **remote worker** from `--workers`, rotated per attempt so a dead
+//!   worker's slice lands on a survivor;
+//! * a **fresh local worker** — a child process on loopback, started for
+//!   one attempt through the caller's `build` closure, awaited on its
+//!   ready file, leased, and killed and reaped when the attempt ends.
+//!   `dispatch --procs K` without `--workers` uses only these; with
+//!   `--workers` they are the failover rung once the remote attempts are
+//!   spent.
+//!
+//! Every attempt obeys the same supervision contract:
+//!
+//! * **crash detection** — a worker that closes the connection, was never
+//!   reachable, or (local) exited before it was ready fails the attempt;
 //! * **deadlines** — a lease outliving the per-shard wall-clock budget is
 //!   revoked by dropping the connection;
 //! * **liveness** — a connection silent for longer than the grace window
 //!   (no heartbeat *or* result frame) is declared partitioned and the
 //!   lease revoked;
-//! * **retry + failover** — a failed slice is retried with the same
-//!   deterministic per-shard [`Backoff`] stream (`seed ^ shard`), rotated
-//!   across workers so retries land on survivors; when every remote
-//!   attempt is exhausted the slice **fails over to a local child
-//!   process** (the [`crate::dispatch::supervise_shard`] ladder), and only
-//!   if that also fails does the shard go missing — loudly, or degraded
+//! * **retry** — a failed slice is retried with the deterministic
+//!   per-shard [`Backoff`] stream (`seed ^ shard`); only when every
+//!   attempt is spent does the shard go missing — loudly, or degraded
 //!   under `allow_partial`.
 //!
-//! Merging reuses [`crate::dispatch::merge_outcomes`] verbatim: a worker's
-//! final frame parses into the same per-shard yield a child's artifact
-//! files do, so the merged canonical journal stays **byte-identical** to
-//! the in-process 1-shard run even when a worker is killed mid-lease and
-//! its slice fails over to a survivor or a local child.
+//! Merging is [`crate::dispatch::merge_outcomes`], so the merged
+//! canonical journal stays **byte-identical** to the in-process 1-shard
+//! run even when a worker is killed mid-lease and its slice is re-leased.
 //!
-//! Network-level fault injection mirrors `--chaos-proc`: a [`ChaosNet`]
-//! spec (`kill:1`, `stall:0:1`, `garble:1`) makes the dispatcher stamp a
-//! chaos directive onto the matching `(worker, attempt)` lease frame, and
-//! the cooperating worker drops the connection mid-lease, goes silent
-//! holding it open, or emits a corrupt frame. A worker can also be
-//! poisoned at startup via the [`CHAOS_NET_ENV`] environment variable
-//! ([`WorkerChaos`]: `kill:2` fires on its third accepted lease) so
-//! partition tests need no dispatcher cooperation at all.
+//! Fault injection rides on the wire: a [`ChaosNet`] spec (`kill:1`,
+//! `stall:0:1`, `garble:1`) makes the dispatcher stamp a chaos directive
+//! onto the matching `(target, attempt)` lease frame, and the cooperating
+//! worker drops the connection mid-lease, goes silent holding it open,
+//! or emits a corrupt frame. A worker can also be poisoned at startup via
+//! the [`CHAOS_NET_ENV`] environment variable ([`WorkerChaos`]: `kill:2`
+//! fires on its third accepted lease) so partition tests need no
+//! dispatcher cooperation at all.
 
 use crate::backoff::Backoff;
 use crate::dispatch::{
-    merge_outcomes, supervise_shard, AttemptFailure, DispatchConfig, DispatchError,
-    DispatchOutcome, MissingShard, ShardOutcome, ShardPaths, ShardSpec, ShardYield,
+    merge_outcomes, AttemptFailure, DispatchConfig, DispatchError, DispatchOutcome, MissingShard,
+    ShardOutcome, ShardPaths, ShardSpec, ShardYield,
 };
 use crate::fault::FaultProfile;
+use crate::framing::LineBuffer;
 use crate::report::RunArtifact;
 use crate::runner::{ExperimentSpec, RunnerConfig, Supervisor};
 use humnet_telemetry::TelemetrySnapshot;
@@ -60,7 +64,8 @@ use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::process::Command;
+use std::path::Path;
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -69,7 +74,8 @@ use std::time::{Duration, Instant};
 /// Environment variable that poisons a worker daemon at startup:
 /// `kill[:n]`, `stall[:n]`, or `garble[:n]` makes the worker misbehave on
 /// its `n`-th accepted lease (0-based, default 0). The connection-frame
-/// path (`--chaos-net` on `dispatch`) needs no environment at all.
+/// path (`--chaos-net` on `dispatch`) needs no environment at all, and
+/// local worker children never inherit this variable.
 pub const CHAOS_NET_ENV: &str = "HUMNET_CHAOS_NET";
 
 /// How a chaos-selected worker misbehaves on the wire.
@@ -105,13 +111,15 @@ impl ChaosKind {
     }
 }
 
-/// One network-level fault injection, dispatcher-side: which worker
-/// (index into the `--workers` list), which lease attempt.
+/// One network-level fault injection, dispatcher-side: which target,
+/// which lease attempt. The target of a remote attempt is its index in
+/// the `--workers` list; the target of a local attempt is its shard
+/// (local worker `k` is shard `k`'s worker).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosNet {
     /// The fault to inject.
     pub kind: ChaosKind,
-    /// Targeted worker index (position in the `--workers` list).
+    /// Targeted remote worker index, or shard index for local workers.
     pub worker: u32,
     /// Shard attempt the fault fires on (0 = first lease of a shard).
     pub lease: u32,
@@ -135,7 +143,7 @@ impl ChaosNet {
         Some(ChaosNet { kind, worker, lease })
     }
 
-    /// The directive to stamp onto the lease frame for `(worker, attempt)`,
+    /// The directive to stamp onto the lease frame for `(target, attempt)`,
     /// if this fault targets it.
     pub fn directive(&self, worker: u32, attempt: u32) -> Option<ChaosKind> {
         (self.worker == worker && self.lease == attempt).then_some(self.kind)
@@ -171,9 +179,8 @@ impl WorkerChaos {
 }
 
 // ---------------------------------------------------------------------------
-// Wire frames (line-delimited JSON, one frame per line — the serve
-// protocol's framing idiom; plain `Option` fields so absent keys read as
-// `None`).
+// Wire frames (line-delimited JSON, one frame per line, framed by
+// `LineBuffer`; plain `Option` fields so absent keys read as `None`).
 // ---------------------------------------------------------------------------
 
 /// A dispatcher → worker request frame.
@@ -271,7 +278,7 @@ pub struct WorkerFrame {
     /// Serialized telemetry snapshot JSON, events included (on `done`).
     pub metrics: Option<String>,
     /// Event journal JSONL (on `done`; debugging aid — the merge reads
-    /// events from the metrics snapshot, exactly like local dispatch).
+    /// events from the metrics snapshot).
     pub journal: Option<String>,
     /// Human-readable failure (on `error`).
     pub message: Option<String>,
@@ -343,34 +350,31 @@ impl WorkerFrame {
     }
 }
 
-/// Drain one newline-terminated line out of `buf`, if one is complete.
-/// Returns trimmed text; empty lines come back as empty strings the
-/// caller skips.
-fn take_line(buf: &mut Vec<u8>) -> Option<String> {
-    let pos = buf.iter().position(|&b| b == b'\n')?;
-    let line: Vec<u8> = buf.drain(..=pos).collect();
-    Some(String::from_utf8_lossy(&line).trim().to_owned())
-}
-
 // ---------------------------------------------------------------------------
 // Dispatcher side
 // ---------------------------------------------------------------------------
 
-/// Remote-dispatch knobs layered on top of [`DispatchConfig`] (which keeps
+/// How often a waiting dispatcher re-checks a lease's deadline and
+/// liveness, and a local worker child's ready file.
+const POLL: Duration = Duration::from_millis(1);
+
+/// Worker-related knobs layered on top of [`DispatchConfig`] (which keeps
 /// supplying the shared supervision budget: `shard_retries`,
 /// `shard_deadline`, `liveness`, backoff, `allow_partial`).
 #[derive(Debug, Clone)]
 pub struct RemoteOptions {
-    /// Worker addresses (`host:port`), in `--workers` order. Retries
-    /// rotate through this list so a dead worker's slice lands on a
-    /// survivor.
+    /// Remote worker addresses (`host:port`), in `--workers` order.
+    /// Retries rotate through this list so a dead worker's slice lands on
+    /// a survivor. Empty means every attempt leases to a fresh local
+    /// worker child.
     pub workers: Vec<String>,
-    /// Per-dial TCP connect budget.
+    /// Per-dial TCP connect budget; also how long a local worker child
+    /// may take to write its ready file.
     pub connect_timeout: Duration,
     /// Network-level fault injections (testing/CI).
     pub chaos: Vec<ChaosNet>,
-    /// After remote retries exhaust, fail the slice over to a local child
-    /// process before declaring the shard missing.
+    /// After the remote attempts are spent, retry the slice on fresh
+    /// local worker children before declaring the shard missing.
     pub local_failover: bool,
 }
 
@@ -385,15 +389,26 @@ impl Default for RemoteOptions {
     }
 }
 
-/// Run `shards` as leases against remote workers and merge their results.
+/// Run `shards` as supervised leases and merge their results.
 ///
-/// The supervision ladder per shard: remote attempts `0..=shard_retries`
-/// (deterministic [`Backoff`] from `seed ^ shard`, worker rotated per
-/// attempt), then — unless `local_failover` is off — the full local
-/// child-process ladder of [`crate::dispatch::dispatch`] via `build`, then
-/// missing. Merging is shared with local dispatch, so the canonical
+/// The ladder per shard: remote attempts `0..=shard_retries` against the
+/// `workers` (rotated per attempt), then — with no `workers`, or unless
+/// `local_failover` is off — `shard_retries + 1` more attempts on fresh
+/// local worker children, then missing. Retries sleep on the
+/// deterministic [`Backoff`] stream of `seed ^ shard`.
+///
+/// `build` constructs the command for a local worker child: the
+/// `experiments` binary passes `worker --addr 127.0.0.1:0 --ready-file
+/// <paths.ready>`; tests can substitute anything that writes a
+/// listening worker's address to the ready file. The dispatcher owns
+/// everything around it: the attempt directory, stdio capture into the
+/// attempt's log, the ready wait, the lease, and killing and reaping the
+/// child when the attempt ends. Merging is shared, so the canonical
 /// journal is byte-identical to the in-process run regardless of which
-/// rung produced each slice.
+/// target produced each slice.
+///
+/// Shards with empty `codes` are skipped without leasing (they could not
+/// contribute events or report rows).
 pub fn dispatch_remote<F>(
     config: &DispatchConfig,
     remote: &RemoteOptions,
@@ -404,11 +419,6 @@ pub fn dispatch_remote<F>(
 where
     F: Fn(&ShardSpec, &ShardPaths) -> Command + Sync,
 {
-    assert!(
-        !remote.workers.is_empty(),
-        "dispatch_remote requires at least one worker address"
-    );
-    // Local failover spawns children that write artifacts here.
     fs::create_dir_all(&config.scratch).map_err(|e| DispatchError::Scratch(e.to_string()))?;
     let planned: usize = shards.iter().map(|s| s.codes.len()).sum();
 
@@ -416,7 +426,7 @@ where
         let handles: Vec<_> = shards
             .into_iter()
             .filter(|spec| !spec.codes.is_empty())
-            .map(|spec| scope.spawn(|| supervise_remote_shard(config, remote, runner, spec, &build)))
+            .map(|spec| scope.spawn(|| supervise_shard(config, remote, runner, spec, &build)))
             .collect();
         handles
             .into_iter()
@@ -443,9 +453,9 @@ where
     Ok(merge_outcomes(runner, planned, outcomes, missing))
 }
 
-/// Supervise one shard's remote lease ladder: lease, watch, retry against
-/// rotated workers, then fail over locally.
-fn supervise_remote_shard<F>(
+/// Supervise one shard: lease, watch, retry — remote attempts first, then
+/// local ones.
+fn supervise_shard<F>(
     config: &DispatchConfig,
     remote: &RemoteOptions,
     runner: &RunnerConfig,
@@ -456,44 +466,51 @@ where
     F: Fn(&ShardSpec, &ShardPaths) -> Command,
 {
     let backoff = Backoff::for_shard(config.backoff_base, config.seed, spec.shard);
-    let mut last = AttemptFailure::Remote("never attempted".to_owned());
-    let mut attempts = 0;
-    for attempt in 0..=config.shard_retries {
+    let tries = config.shard_retries + 1;
+    let remote_tries = if remote.workers.is_empty() { 0 } else { tries };
+    let local_tries = if remote_tries == 0 || remote.local_failover { tries } else { 0 };
+    let attempts = remote_tries + local_tries;
+    let mut last = AttemptFailure::Lease("never attempted".to_owned());
+    for attempt in 0..attempts {
+        let local = attempt >= remote_tries;
         if attempt > 0 {
-            eprintln!(
-                "dispatch: shard {} remote attempt {attempt} after failure: {last}",
-                spec.shard
-            );
+            if local && attempt == remote_tries {
+                eprintln!(
+                    "dispatch: shard {} failing over to a local child worker after {attempt} remote attempts: {last}",
+                    spec.shard
+                );
+            } else {
+                let rung = if local { "" } else { "remote " };
+                eprintln!(
+                    "dispatch: shard {} {rung}attempt {attempt} after failure: {last}",
+                    spec.shard
+                );
+            }
             thread::sleep(backoff.delay(attempt - 1));
         }
-        attempts += 1;
-        let widx = ((spec.shard + attempt) as usize) % remote.workers.len();
-        let chaos = remote
-            .chaos
-            .iter()
-            .find_map(|c| c.directive(widx as u32, attempt));
-        match lease_attempt(config, remote, runner, &spec, attempt, widx, chaos) {
+        let result = if local {
+            let chaos = remote.chaos.iter().find_map(|c| c.directive(spec.shard, attempt));
+            local_attempt(config, remote, runner, &spec, attempt, chaos, build)
+        } else {
+            let widx = (spec.shard + attempt) as usize % remote.workers.len();
+            let chaos = remote.chaos.iter().find_map(|c| c.directive(widx as u32, attempt));
+            let addr = &remote.workers[widx];
+            lease_attempt(config, remote, runner, &spec, attempt, addr, chaos)
+        };
+        match result {
             Ok(yielded) => {
                 return ShardOutcome {
                     spec,
-                    attempts,
+                    attempts: attempt + 1,
                     result: Ok(yielded),
                 };
             }
             Err(failure) => last = failure,
         }
     }
-    if remote.local_failover {
-        eprintln!(
-            "dispatch: shard {} failing over to a local child after {attempts} remote attempts: {last}",
-            spec.shard
-        );
-        let mut outcome = supervise_shard(config, spec, build);
-        outcome.attempts += attempts;
-        return outcome;
-    }
+    let rung = if local_tries == 0 { "remote " } else { "" };
     eprintln!(
-        "dispatch: shard {} gave up after {attempts} remote attempts: {last}",
+        "dispatch: shard {} gave up after {attempts} {rung}attempts: {last}",
         spec.shard
     );
     ShardOutcome {
@@ -501,6 +518,83 @@ where
         attempts,
         result: Err(last),
     }
+}
+
+/// A local worker child, killed and reaped when the attempt that started
+/// it ends — whichever way it ends.
+struct LocalWorker(Child);
+
+impl Drop for LocalWorker {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+impl LocalWorker {
+    /// Wait up to `budget` for the child to write its bound address to
+    /// `ready`. A child that exits first never becomes ready.
+    fn wait_ready(&mut self, ready: &Path, budget: Duration) -> Result<String, AttemptFailure> {
+        let started = Instant::now();
+        loop {
+            if let Ok(text) = fs::read_to_string(ready) {
+                let addr = text.trim();
+                if !addr.is_empty() {
+                    return Ok(addr.to_owned());
+                }
+            }
+            if let Ok(Some(status)) = self.0.try_wait() {
+                return Err(AttemptFailure::Spawn(format!(
+                    "exited before it was ready ({status})"
+                )));
+            }
+            if started.elapsed() >= budget {
+                return Err(AttemptFailure::Spawn(format!(
+                    "not ready within {}ms",
+                    budget.as_millis()
+                )));
+            }
+            thread::sleep(POLL);
+        }
+    }
+}
+
+/// One attempt on a fresh local worker child: start it, wait for its
+/// ready file, lease to it, then kill and reap it. A successful attempt's
+/// directory is removed (unless `keep_scratch`); a failed one keeps the
+/// child's log.
+fn local_attempt<F>(
+    config: &DispatchConfig,
+    remote: &RemoteOptions,
+    runner: &RunnerConfig,
+    spec: &ShardSpec,
+    attempt: u32,
+    chaos: Option<ChaosKind>,
+    build: &F,
+) -> Result<ShardYield, AttemptFailure>
+where
+    F: Fn(&ShardSpec, &ShardPaths) -> Command,
+{
+    let spawn_err = |e: std::io::Error| AttemptFailure::Spawn(e.to_string());
+    let paths = ShardPaths::new(&config.scratch, spec.shard, attempt);
+    fs::create_dir_all(&paths.dir).map_err(spawn_err)?;
+    let log = fs::File::create(&paths.log).map_err(spawn_err)?;
+    let log_err = log.try_clone().map_err(spawn_err)?;
+    let mut cmd = build(spec, &paths);
+    // Chaos for local workers travels on the lease frame only.
+    cmd.env_remove(CHAOS_NET_ENV)
+        .stdin(Stdio::null())
+        .stdout(log)
+        .stderr(log_err);
+    let mut worker = LocalWorker(cmd.spawn().map_err(spawn_err)?);
+    let addr = worker.wait_ready(&paths.ready, remote.connect_timeout)?;
+    let result = lease_attempt(config, remote, runner, spec, attempt, &addr, chaos);
+    // Kill and reap before the attempt directory can go.
+    drop(worker);
+    if result.is_ok() && !config.keep_scratch {
+        let _ = fs::remove_dir_all(&paths.dir);
+    }
+    result
 }
 
 /// Dial every resolved address for `addr` until one connects in budget.
@@ -519,20 +613,20 @@ fn connect(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
     Err(last)
 }
 
-/// One lease-watch-collect cycle against a single worker. Dropping the
-/// stream on any exit path *is* the lease revocation: the worker notices
-/// the dead connection on its next frame write and abandons the result.
+/// One lease-watch-collect cycle against the worker at `addr`. Dropping
+/// the stream on any exit path *is* the lease revocation: the worker
+/// notices the dead connection on its next frame write and abandons the
+/// result.
 fn lease_attempt(
     config: &DispatchConfig,
     remote: &RemoteOptions,
     runner: &RunnerConfig,
     spec: &ShardSpec,
     attempt: u32,
-    widx: usize,
+    addr: &str,
     chaos: Option<ChaosKind>,
 ) -> Result<ShardYield, AttemptFailure> {
-    let addr = &remote.workers[widx];
-    let fail = |msg: String| AttemptFailure::Remote(format!("worker {addr}: {msg}"));
+    let fail = |msg: String| AttemptFailure::Lease(format!("worker {addr}: {msg}"));
 
     let mut stream =
         connect(addr, remote.connect_timeout).map_err(|e| fail(format!("connect failed: {e}")))?;
@@ -550,19 +644,15 @@ fn lease_attempt(
         .map_err(|e| fail(format!("lease send failed: {e}")))?;
 
     // Short read timeout so deadline/liveness checks interleave with the
-    // blocking reads — the same poll cadence the child watcher uses.
-    let poll = config.poll.max(Duration::from_millis(5));
-    let _ = stream.set_read_timeout(Some(poll));
+    // blocking reads.
+    let _ = stream.set_read_timeout(Some(POLL));
 
     let started = Instant::now();
     let mut last_frame = Instant::now();
-    let mut buf: Vec<u8> = Vec::new();
+    let mut framer = LineBuffer::new();
     let mut chunk = [0u8; 8192];
     loop {
-        while let Some(line) = take_line(&mut buf) {
-            if line.is_empty() {
-                continue;
-            }
+        while let Some(line) = framer.next_line() {
             let frame = WorkerFrame::from_line(&line).map_err(|_| {
                 let shown: String = line.chars().take(80).collect();
                 fail(format!("garbled frame: {shown:?}"))
@@ -586,13 +676,13 @@ fn lease_attempt(
         }
         if !config.liveness.is_zero() && last_frame.elapsed() >= config.liveness {
             return Err(fail(format!(
-                "no frame for {}ms; worker declared partitioned and lease revoked",
+                "no heartbeat or result frame for {}ms; worker declared partitioned and lease revoked",
                 last_frame.elapsed().as_millis()
             )));
         }
         match stream.read(&mut chunk) {
             Ok(0) => return Err(fail("connection closed mid-lease".to_owned())),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => framer.push(&chunk[..n]),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}
@@ -601,9 +691,9 @@ fn lease_attempt(
     }
 }
 
-/// Parse a `done` frame into the same per-shard yield a local child's
-/// artifact files produce; optionally persist the frame's artifacts into
-/// the attempt's scratch layout for inspection.
+/// Parse a `done` frame into the shard's yield; under `keep_scratch`,
+/// also persist the frame's artifacts into the attempt's directory for
+/// inspection.
 fn collect_done(
     frame: &WorkerFrame,
     config: &DispatchConfig,
@@ -765,13 +855,10 @@ fn write_frame(stream: &mut TcpStream, frame: &WorkerFrame) -> std::io::Result<(
 fn serve_lease_connection(state: &WorkerState, mut stream: TcpStream, addr: SocketAddr) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut buf: Vec<u8> = Vec::new();
+    let mut framer = LineBuffer::new();
     let mut chunk = [0u8; 8192];
     loop {
-        while let Some(line) = take_line(&mut buf) {
-            if line.is_empty() {
-                continue;
-            }
+        while let Some(line) = framer.next_line() {
             let request = match Lease::from_line(&line) {
                 Ok(request) => request,
                 Err(e) => {
@@ -806,7 +893,7 @@ fn serve_lease_connection(state: &WorkerState, mut stream: TcpStream, addr: Sock
         }
         match stream.read(&mut chunk) {
             Ok(0) => return,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => framer.push(&chunk[..n]),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}
@@ -1060,7 +1147,6 @@ mod tests {
             shard_retries: 1,
             shard_deadline: Duration::from_secs(30),
             liveness: Duration::from_millis(500),
-            poll: Duration::from_millis(5),
             backoff_base: Duration::from_millis(1),
             scratch: scratch(tag),
             ..DispatchConfig::default()
@@ -1256,7 +1342,7 @@ mod tests {
         assert!(started.elapsed() < Duration::from_secs(10), "liveness fired early");
         assert!(outcome.degraded());
         assert!(
-            outcome.missing[0].reason.contains("no frame for"),
+            outcome.missing[0].reason.contains("no heartbeat or result frame"),
             "{}",
             outcome.missing[0].reason
         );
@@ -1314,12 +1400,12 @@ mod tests {
             // Read (and discard) the lease line first so every kill point
             // is a mid-lease fault, not a refused connection.
             let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-            let mut buf = Vec::new();
+            let mut framer = LineBuffer::new();
             let mut chunk = [0u8; 1024];
-            while take_line(&mut buf).is_none() {
+            while framer.next_line().is_none() {
                 match stream.read(&mut chunk) {
                     Ok(0) => return,
-                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                    Ok(n) => framer.push(&chunk[..n]),
                     Err(_) => return,
                 }
             }
@@ -1384,15 +1470,274 @@ mod tests {
         }
     }
 
+    // -- local worker children: `sh` stand-ins for `experiments worker` --
+
+    /// A local worker stand-in: an `sh` child that records its pid in the
+    /// scratch root, publishes the in-process worker at `addr` through
+    /// the ready file, then sleeps until the dispatcher kills it.
+    fn sh_worker(addr: &str, paths: &ShardPaths) -> Command {
+        let root = paths.dir.parent().unwrap().display().to_string();
+        let dir = paths.dir.display();
+        let mut cmd = Command::new("sh");
+        cmd.arg("-c").arg(format!(
+            "echo $$ > '{root}/pid-{s}-{a}'; printf %s '{addr}' > '{dir}/ready.tmp'; \
+             mv '{dir}/ready.tmp' '{ready}'; exec sleep 30",
+            s = paths.shard,
+            a = paths.attempt,
+            ready = paths.ready.display(),
+        ));
+        cmd
+    }
+
+    fn sh_exit(code: u8) -> Command {
+        let mut cmd = Command::new("sh");
+        cmd.arg("-c").arg(format!("echo 'worker failed to start' >&2; exit {code}"));
+        cmd
+    }
+
+    /// Whether the process whose pid `sh_worker` recorded is gone —
+    /// killed *and* reaped (a zombie still has a `/proc` entry).
+    fn reaped(scratch: &Path, shard: u32, attempt: u32) -> bool {
+        let pid = fs::read_to_string(scratch.join(format!("pid-{shard}-{attempt}"))).unwrap();
+        !Path::new("/proc/self").exists() || !Path::new(&format!("/proc/{}", pid.trim())).exists()
+    }
+
     #[test]
-    fn exhausted_remote_retries_fail_over_to_a_local_child() {
-        // No worker listens anywhere; the slice must fall through to the
-        // local child ladder, which runs a fake `sh` child that writes
-        // valid artifacts (same fixture style as dispatch.rs tests).
+    fn local_worker_that_exits_before_ready_is_retried_and_keeps_its_log() {
+        let (addr, stop) = start_worker(None);
+        let config = quick_config("local-retry");
+        let specs = vec![shard_spec(0, 0, &["exp1"]), shard_spec(1, 1, &["exp2"])];
+        let outcome = dispatch_remote(
+            &config,
+            &RemoteOptions::default(),
+            &RunnerConfig::default(),
+            specs,
+            |spec, paths| {
+                if spec.shard == 1 && paths.attempt == 0 {
+                    sh_exit(7)
+                } else {
+                    sh_worker(&addr, paths)
+                }
+            },
+        )
+        .unwrap();
+        assert!(!outcome.degraded());
+        assert_eq!(outcome.shard_attempts, vec![1, 2]);
+        assert_eq!(outcome.run.outputs["exp2"], "exp2 output");
+        assert_eq!(
+            outcome.run.telemetry.metrics.counters["dispatch.shard.1.attempts"],
+            2
+        );
+        assert!(outcome.render_summary().contains("complete after retries"));
+        // Successful attempts leave nothing behind …
+        assert!(!ShardPaths::new(&config.scratch, 0, 0).dir.exists());
+        assert!(!ShardPaths::new(&config.scratch, 1, 1).dir.exists());
+        // … but the failed first attempt of shard 1 keeps the child's log.
+        let failed = ShardPaths::new(&config.scratch, 1, 0);
+        let log = fs::read_to_string(&failed.log).unwrap();
+        assert!(log.contains("worker failed to start"), "{log}");
+        stop_worker(&addr, &stop);
+        let _ = fs::remove_dir_all(&config.scratch);
+    }
+
+    #[test]
+    fn exhausted_local_retries_fail_loudly_or_degrade_under_allow_partial() {
+        let (addr, stop) = start_worker(None);
+        let mut config = quick_config("local-loud");
+        let specs = || vec![shard_spec(0, 0, &["exp1"]), shard_spec(1, 1, &["exp2"])];
+        let build = |spec: &ShardSpec, paths: &ShardPaths| {
+            if spec.shard == 1 {
+                sh_exit(3)
+            } else {
+                sh_worker(&addr, paths)
+            }
+        };
+        let err = dispatch_remote(
+            &config,
+            &RemoteOptions::default(),
+            &RunnerConfig::default(),
+            specs(),
+            build,
+        )
+        .unwrap_err();
+        let DispatchError::ShardsFailed(missing) = &err else {
+            panic!("expected ShardsFailed, got {err:?}");
+        };
+        assert_eq!(missing.len(), 1);
+        assert_eq!((missing[0].shard, missing[0].attempts), (1, 2));
+        assert!(err.to_string().contains("exited before it was ready"), "{err}");
+
+        config.allow_partial = true;
+        let outcome = dispatch_remote(
+            &config,
+            &RemoteOptions::default(),
+            &RunnerConfig::default(),
+            specs(),
+            build,
+        )
+        .unwrap();
+        assert_eq!(outcome.exit_code(), 3);
+        assert_eq!(outcome.missing[0].codes, vec!["exp2"]);
+        assert_eq!(outcome.run.outputs["exp1"], "exp1 output");
+        let summary = outcome.render_summary();
+        assert!(summary.contains("DEGRADED"), "{summary}");
+        assert!(summary.contains("missing shard 1"), "{summary}");
+        assert_eq!(
+            outcome.run.telemetry.metrics.counters["dispatch.shards_missing"],
+            1
+        );
+        stop_worker(&addr, &stop);
+        let _ = fs::remove_dir_all(&config.scratch);
+    }
+
+    #[test]
+    fn finished_and_revoked_local_workers_are_killed_and_reaped() {
+        let (addr, stop) = start_worker(None);
+        let mut config = quick_config("local-reap");
+        // Shard 1's worker stalls: with liveness off, the shard deadline
+        // revokes the lease.
+        config.shard_retries = 0;
+        config.allow_partial = true;
+        config.liveness = Duration::ZERO;
+        config.shard_deadline = Duration::from_millis(300);
+        let remote = RemoteOptions {
+            chaos: vec![ChaosNet::parse("stall:1").unwrap()],
+            ..RemoteOptions::default()
+        };
+        let specs = vec![shard_spec(0, 0, &["exp1"]), shard_spec(1, 1, &["exp2"])];
+        let outcome = dispatch_remote(&config, &remote, &RunnerConfig::default(), specs, |_, paths| {
+            sh_worker(&addr, paths)
+        })
+        .unwrap();
+        assert_eq!(outcome.shard_attempts, vec![1, 1]);
+        assert_eq!(outcome.missing.len(), 1);
+        assert!(
+            outcome.missing[0].reason.contains("shard deadline"),
+            "{}",
+            outcome.missing[0].reason
+        );
+        assert!(reaped(&config.scratch, 0, 0), "finished worker is reaped");
+        assert!(reaped(&config.scratch, 1, 0), "revoked worker is reaped");
+        stop_worker(&addr, &stop);
+        let _ = fs::remove_dir_all(&config.scratch);
+    }
+
+    #[test]
+    fn chaos_net_addresses_a_local_worker_by_its_shard() {
+        let (addr, stop) = start_worker(None);
+        let config = quick_config("local-chaos");
+        let remote = RemoteOptions {
+            chaos: vec![ChaosNet::parse("kill:1").unwrap()],
+            ..RemoteOptions::default()
+        };
+        let runner = RunnerConfig { seed: 3, ..RunnerConfig::default() };
+        let specs = vec![shard_spec(0, 0, &["exp1"]), shard_spec(1, 1, &["exp2", "exp3"])];
+        let outcome = dispatch_remote(&config, &remote, &runner, specs, |_, paths| {
+            sh_worker(&addr, paths)
+        })
+        .unwrap();
+        assert_eq!(outcome.shard_attempts, vec![1, 2], "only shard 1 was killed");
+        let reference = reference_run(&["exp1", "exp2", "exp3"], &runner);
+        assert_eq!(
+            outcome.run.telemetry.canonical_events(),
+            reference.telemetry.canonical_events()
+        );
+        stop_worker(&addr, &stop);
+        let _ = fs::remove_dir_all(&config.scratch);
+    }
+
+    #[test]
+    fn keep_scratch_keeps_the_done_frame_artifacts() {
+        let (addr, stop) = start_worker(None);
+        let mut config = quick_config("local-keep");
+        config.keep_scratch = true;
+        let outcome = dispatch_remote(
+            &config,
+            &RemoteOptions::default(),
+            &RunnerConfig::default(),
+            vec![shard_spec(0, 0, &["exp1"])],
+            |_, paths| sh_worker(&addr, paths),
+        )
+        .unwrap();
+        assert!(!outcome.degraded());
+        let kept = ShardPaths::new(&config.scratch, 0, 0);
+        for path in [&kept.report, &kept.metrics, &kept.journal, &kept.log, &kept.ready] {
+            assert!(path.exists(), "{} kept", path.display());
+        }
+        let artifact = RunArtifact::from_json(&fs::read_to_string(&kept.report).unwrap()).unwrap();
+        assert_eq!(artifact.outputs["exp1"], "exp1 output");
+        stop_worker(&addr, &stop);
+        let _ = fs::remove_dir_all(&config.scratch);
+    }
+
+    #[test]
+    fn empty_shards_start_no_worker() {
+        let (addr, stop) = start_worker(None);
+        let config = quick_config("local-empty");
+        let specs = vec![shard_spec(0, 0, &["exp1"]), shard_spec(1, 1, &[])];
+        let outcome = dispatch_remote(
+            &config,
+            &RemoteOptions::default(),
+            &RunnerConfig::default(),
+            specs,
+            |spec, paths| {
+                assert_ne!(spec.shard, 1, "empty shard must not start a worker");
+                sh_worker(&addr, paths)
+            },
+        )
+        .unwrap();
+        assert_eq!(outcome.shard_attempts, vec![1]);
+        assert_eq!(outcome.run.report.experiments.len(), 1);
+        stop_worker(&addr, &stop);
+        let _ = fs::remove_dir_all(&config.scratch);
+    }
+
+    #[test]
+    fn merged_journal_rebases_specs_and_brackets_once() {
+        let (addr, stop) = start_worker(None);
+        let config = quick_config("local-merge");
+        let runner = RunnerConfig { seed: 9, ..RunnerConfig::default() };
+        let specs = vec![shard_spec(0, 0, &["exp1"]), shard_spec(1, 1, &["exp2", "exp3"])];
+        let outcome = dispatch_remote(&config, &RemoteOptions::default(), &runner, specs, |_, paths| {
+            sh_worker(&addr, paths)
+        })
+        .unwrap();
+        let events = &outcome.run.telemetry.events;
+        // Exactly one run-start / run-end pair, at the boundaries.
+        assert_eq!(events.first().unwrap().kind, "run-start");
+        assert_eq!(events.last().unwrap().kind, "run-end");
+        assert_eq!(events.iter().filter(|e| e.kind == "run-start").count(), 1);
+        assert_eq!(events.iter().filter(|e| e.kind == "run-end").count(), 1);
+        // Shard 1's events were re-based from spec 0 to spec 1 and stamped.
+        let exp2_start = events
+            .iter()
+            .find(|e| e.kind == "experiment-start" && e.experiment == "exp2")
+            .unwrap();
+        assert_eq!(exp2_start.spec, Some(1));
+        assert_eq!(exp2_start.shard, Some(1));
+        // Worker counters summed without re-recording.
+        assert_eq!(outcome.run.telemetry.metrics.counters["runner.experiments"], 3);
+        // Seqs are dense after the canonical sort.
+        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (0..events.len() as u64).collect::<Vec<_>>());
+        let reference = reference_run(&["exp1", "exp2", "exp3"], &runner);
+        assert_eq!(
+            outcome.run.telemetry.canonical_events(),
+            reference.telemetry.canonical_events()
+        );
+        stop_worker(&addr, &stop);
+        let _ = fs::remove_dir_all(&config.scratch);
+    }
+
+    #[test]
+    fn exhausted_remote_retries_fail_over_to_a_local_worker() {
+        // No remote worker listens; the slice must fall through to a fresh
+        // local worker child.
         let dead = {
             let sock = TcpListener::bind("127.0.0.1:0").unwrap();
             sock.local_addr().unwrap().to_string()
         };
+        let (addr, stop) = start_worker(None);
         let mut config = quick_config("failover");
         config.shard_retries = 0;
         let remote = RemoteOptions {
@@ -1405,45 +1750,16 @@ mod tests {
             &remote,
             &RunnerConfig::default(),
             vec![shard_spec(0, 0, &["exp1"])],
-            |spec, paths| {
-                let tel = humnet_telemetry::Telemetry::new();
-                tel.event(humnet_telemetry::Event::new("run-start", "profile=none seed=1"));
-                tel.event(humnet_telemetry::Event::new("run-end", "1 experiments: 1 ok"));
-                let metrics = tel.into_snapshot().to_json().unwrap();
-                let artifact = RunArtifact {
-                    report: crate::report::RunReport {
-                        experiments: vec![crate::report::ExperimentReport {
-                            code: spec.codes[0].clone(),
-                            title: "t".to_owned(),
-                            family: "fam".to_owned(),
-                            status: crate::report::ExperimentStatus::Ok,
-                            attempts: 1,
-                            faults_injected: 0,
-                            message: String::new(),
-                            duration_ms: 0,
-                        }],
-                        profile: "none".to_owned(),
-                        seed: 1,
-                        code_rev: String::new(),
-                    },
-                    outputs: std::iter::once((spec.codes[0].clone(), "local output".to_owned()))
-                        .collect(),
-                };
-                let mut cmd = Command::new("sh");
-                cmd.arg("-c").arg(format!(
-                    "cat > '{m}' <<'HUMNET_EOF_M'\n{metrics}\nHUMNET_EOF_M\ncat > '{r}' <<'HUMNET_EOF_R'\n{report}\nHUMNET_EOF_R\n",
-                    m = paths.metrics.display(),
-                    r = paths.report.display(),
-                    report = artifact.to_json().unwrap(),
-                ));
-                cmd
-            },
+            |_, paths| sh_worker(&addr, paths),
         )
         .unwrap();
         assert!(!outcome.degraded());
-        // One failed remote attempt + one successful local child attempt.
+        // One failed remote attempt + one successful local attempt, which
+        // numbers on from the remote ones.
         assert_eq!(outcome.shard_attempts, vec![2]);
-        assert_eq!(outcome.run.outputs["exp1"], "local output");
+        assert_eq!(outcome.run.outputs["exp1"], "exp1 output");
+        assert!(reaped(&config.scratch, 0, 1));
+        stop_worker(&addr, &stop);
         let _ = fs::remove_dir_all(&config.scratch);
     }
 }

@@ -151,13 +151,13 @@ fn wheel() -> &'static Arc<Wheel> {
         // condvar until the earliest armed deadline (or forever when idle).
         std::thread::Builder::new()
             .name("humnet-watchdog".to_owned())
-            .spawn(move || watchdog_loop(&thread_wheel))
+            .spawn(move || run_watchdog(&thread_wheel))
             .expect("failed to spawn the watchdog thread");
         wheel
     })
 }
 
-fn watchdog_loop(wheel: &Wheel) {
+fn run_watchdog(wheel: &Wheel) {
     let mut state = wheel.state.lock().unwrap_or_else(|e| e.into_inner());
     loop {
         let now = Instant::now();

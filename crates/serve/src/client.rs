@@ -1,10 +1,9 @@
 //! Client side of the serve protocol: a persistent, pipelining-capable
 //! connection handle plus a small reuse pool.
 //!
-//! The old entry point was a free function that opened a fresh TCP
-//! connection per request — fine for a one-shot `experiments query`,
-//! hopeless for load generation, where a capacity ramp would measure
-//! connect overhead instead of the daemon. [`ServeClient`] owns one
+//! A fresh TCP connection per request would be fine for a one-shot
+//! `experiments query` but hopeless for load generation, where a
+//! capacity ramp would measure connect overhead instead of the daemon. [`ServeClient`] owns one
 //! connection for its whole lifetime and exposes three tiers of API:
 //!
 //! 1. **One-shot**: [`ServeClient::request`] (send one line, wait for one
@@ -463,15 +462,6 @@ impl ClientPool {
     }
 }
 
-/// Send one request to the daemon at `addr` on a throwaway connection.
-#[deprecated(
-    since = "0.1.0",
-    note = "opens a TCP connection per request; use `ServeClient::connect` and reuse the handle"
-)]
-pub fn query(addr: &str, request: &Request, timeout: Duration) -> Result<Response, ClientError> {
-    ServeClient::connect(addr, timeout)?.request(request)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,14 +653,5 @@ mod tests {
         let timeout = ClientError::Timeout("timed out after 1s".to_owned());
         assert!(timeout.is_timeout());
         assert_eq!(timeout.to_string(), "timed out after 1s");
-    }
-
-    #[test]
-    fn the_deprecated_one_shot_shim_still_answers() {
-        let (addr, server) = toy_line_server(Duration::ZERO);
-        #[allow(deprecated)]
-        let resp = query(&addr, &Request::run("exp", 9, "none", 1.0), TIMEOUT).unwrap();
-        assert_eq!(resp.message.as_deref(), Some("exp#9"));
-        drop(server); // toy server thread parks in read; process exit reaps it
     }
 }

@@ -10,8 +10,8 @@
 //! cargo run --release --bin experiments -- run --fault-profile chaos --shards 4
 //! cargo run --release --bin experiments -- run --shards 4 --schedule steal
 //! cargo run --release --bin experiments -- run --metrics-out m.json --journal-out j.jsonl
-//! cargo run --release --bin experiments -- dispatch --procs 4  # child processes
-//! cargo run --release --bin experiments -- dispatch --procs 4 --chaos-proc kill:2
+//! cargo run --release --bin experiments -- dispatch --procs 4  # local worker children
+//! cargo run --release --bin experiments -- dispatch --procs 4 --chaos-net kill:2
 //! cargo run --release --bin experiments -- worker --addr 127.0.0.1:0  # remote shard worker
 //! cargo run --release --bin experiments -- dispatch --procs 4 --workers host:7171,host:7172
 //! cargo run --release --bin experiments -- list               # experiment catalog
@@ -28,11 +28,13 @@
 //! `--shards N` the experiment list is partitioned across N in-process
 //! shards whose merged canonical journal and report are byte-identical to
 //! the single-shard run of the same seed. `dispatch --procs K` lifts the
-//! same partition to K supervised *child processes* (the binary re-invokes
-//! itself per shard): children heartbeat, crashed or hung shards are
-//! killed and retried with deterministic backoff, `--allow-partial`
-//! degrades gracefully when a shard stays dead, and the merged canonical
-//! output remains byte-identical to the in-process run. `replay`
+//! same partition across processes: each shard attempt leases its slice
+//! over TCP to a fresh local `worker` child (the binary re-invokes itself)
+//! or, with `--workers`, to remote worker daemons. Workers heartbeat
+//! inline, crashed or silent leases are revoked and retried with
+//! deterministic backoff, `--allow-partial` degrades gracefully when a
+//! shard stays dead, and the merged canonical output remains
+//! byte-identical to the in-process run. `replay`
 //! reconstructs a past run's configuration and fault schedule from its
 //! captured journal, re-executes it, and diffs the canonical event
 //! streams.
@@ -42,7 +44,7 @@
 //! run also collects telemetry — counters, latency histograms, tracing
 //! spans, and a structured event journal — which `--metrics-out`,
 //! `--journal-out`, and `--trace-summary` expose; `--report-out` writes
-//! the serialized report+outputs artifact the dispatcher consumes.
+//! the serialized report+outputs artifact.
 //!
 //! Exit codes: 0 — all experiments completed (or replay matched);
 //! 1 — an experiment failed, or replay diverged from the capture;
@@ -52,10 +54,10 @@
 
 use humnet::core::experiments::ExperimentId;
 use humnet::resilience::{
-    dispatch, dispatch_remote, replay, ChaosNet, ChaosProc, DispatchConfig, DispatchOutcome,
-    ExperimentSpec, FaultProfile, JobError, JobOutput, RemoteOptions, RunArtifact, RunnerConfig,
-    Schedule, ShardPlan, ShardSpec, Supervisor, Worker, WorkerChaos, WorkerConfig, CHAOS_ENV,
-    CHAOS_KILL_CODE, CHAOS_NET_ENV,
+    dispatch_remote, replay, ChaosNet, DispatchConfig, DispatchOutcome, ExperimentSpec,
+    FaultProfile, JobError, JobOutput, RemoteOptions, RunArtifact, RunnerConfig, Schedule,
+    ShardPaths, ShardPlan, ShardSpec, Supervisor, Worker, WorkerChaos, WorkerConfig,
+    CHAOS_NET_ENV,
 };
 use humnet::serve::{
     append_history, install_signal_handlers, read_history, render_trend, run_ramp, ClientPool,
@@ -238,8 +240,6 @@ struct RunCli {
     journal_out: Option<String>,
     report_out: Option<String>,
     trace_summary: bool,
-    heartbeat: Option<String>,
-    heartbeat_every: Duration,
 }
 
 fn cmd_run(args: Vec<String>) -> CmdResult {
@@ -253,33 +253,10 @@ fn cmd_run(args: Vec<String>) -> CmdResult {
         (&cli.metrics_out, "metrics snapshot"),
         (&cli.journal_out, "event journal"),
         (&cli.report_out, "report artifact"),
-        (&cli.heartbeat, "heartbeat file"),
     ] {
         if let Some(path) = path {
             preflight_writable(path, what)?;
         }
-    }
-
-    // Cooperative process-level fault injection: a dispatch parent under
-    // --chaos-proc stamps this variable on the targeted (shard, attempt)
-    // spawn. `kill` simulates a crash before any work or heartbeat;
-    // `hang` wedges silently so liveness/deadline supervision must fire.
-    match std::env::var(CHAOS_ENV).as_deref() {
-        Ok("kill") => {
-            eprintln!("chaos-proc: kill — exiting {CHAOS_KILL_CODE}");
-            return Ok(CHAOS_KILL_CODE as u8);
-        }
-        Ok("hang") => {
-            eprintln!("chaos-proc: hang — sleeping without heartbeats");
-            loop {
-                std::thread::sleep(Duration::from_secs(3600));
-            }
-        }
-        _ => {}
-    }
-
-    if let Some(path) = &cli.heartbeat {
-        start_heartbeat(path.clone(), cli.heartbeat_every);
     }
 
     let specs: Vec<ExperimentSpec> = cli.ids.iter().map(|&id| spec_for(id)).collect();
@@ -355,8 +332,6 @@ fn parse_run_args(args: impl Iterator<Item = String>) -> Result<Option<RunCli>, 
         journal_out: None,
         report_out: None,
         trace_summary: false,
-        heartbeat: None,
-        heartbeat_every: Duration::from_millis(100),
     };
     let mut flags = RunFlags::default();
     let mut args = args.peekable();
@@ -392,14 +367,6 @@ fn parse_run_args(args: impl Iterator<Item = String>) -> Result<Option<RunCli>, 
             "--journal-out" => cli.journal_out = Some(value("--journal-out")?),
             "--report-out" => cli.report_out = Some(value("--report-out")?),
             "--trace-summary" => cli.trace_summary = true,
-            "--heartbeat" => cli.heartbeat = Some(value("--heartbeat")?),
-            "--heartbeat-ms" => {
-                let ms: u64 = parse_num(&value("--heartbeat-ms")?, "--heartbeat-ms")?;
-                if ms == 0 {
-                    return Err(Failure::Usage("--heartbeat-ms must be positive".to_owned()));
-                }
-                cli.heartbeat_every = Duration::from_millis(ms);
-            }
             flag if flag.starts_with('-') => {
                 return Err(Failure::Usage(format!("unknown option '{flag}'")));
             }
@@ -462,46 +429,18 @@ fn cmd_dispatch(args: Vec<String>) -> CmdResult {
         })
         .collect();
 
-    let config = cli.config;
+    // A local shard attempt leases to a fresh worker child on loopback;
+    // the lease carries the run tuple, so the child needs no run flags.
     let heartbeat_ms = cli.heartbeat_every.as_millis().to_string();
-    let build = |spec: &ShardSpec, paths: &humnet::resilience::ShardPaths| {
+    let build = |_: &ShardSpec, paths: &ShardPaths| {
         let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("run")
-            .arg("--shards")
-            .arg("1")
-            .arg("--fault-profile")
-            .arg(config.profile.label())
-            .arg("--retries")
-            .arg(config.retries.to_string())
-            .arg("--deadline-ms")
-            .arg(config.deadline.as_millis().to_string())
-            .arg("--seed")
-            .arg(config.seed.to_string())
-            .arg("--intensity")
-            .arg(config.intensity.to_string())
-            .arg("--breaker-cooldown")
-            .arg(config.breaker_cooldown.to_string())
-            .arg("--report-only")
-            .arg("--metrics-out")
-            .arg(&paths.metrics)
-            .arg("--journal-out")
-            .arg(&paths.journal)
-            .arg("--report-out")
-            .arg(&paths.report)
-            .arg("--heartbeat")
-            .arg(&paths.heartbeat)
-            .arg("--heartbeat-ms")
-            .arg(&heartbeat_ms)
-            .args(&spec.codes);
+        cmd.args(["worker", "--addr", "127.0.0.1:0", "--heartbeat-ms", &heartbeat_ms])
+            .arg("--ready-file")
+            .arg(&paths.ready);
         cmd
     };
-
-    let outcome = if cli.remote.workers.is_empty() {
-        dispatch(&cli.dispatch, &config, shards, build)
-    } else {
-        dispatch_remote(&cli.dispatch, &cli.remote, &config, shards, build)
-    }
-    .map_err(|e| Failure::Fatal(format!("dispatch failed: {e}")))?;
+    let outcome = dispatch_remote(&cli.dispatch, &cli.remote, &cli.config, shards, build)
+        .map_err(|e| Failure::Fatal(format!("dispatch failed: {e}")))?;
 
     print_dispatch(&cli, &outcome)?;
 
@@ -585,7 +524,6 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
         journal_out: None,
         trace_summary: false,
     };
-    cli.dispatch.chaos.clear();
     let mut flags = RunFlags::default();
     let mut args = args.peekable();
 
@@ -623,8 +561,8 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
                 cli.dispatch.shard_deadline = Duration::from_millis(ms);
             }
             "--liveness-ms" => {
-                // 0 is allowed: it disables heartbeat liveness checking and
-                // leaves only the shard deadline.
+                // 0 is allowed: it disables liveness checking and leaves
+                // only the shard deadline.
                 let ms: u64 = parse_num(&value("--liveness-ms")?, "--liveness-ms")?;
                 cli.dispatch.liveness = Duration::from_millis(ms);
             }
@@ -636,18 +574,9 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
                 cli.heartbeat_every = Duration::from_millis(ms);
             }
             "--allow-partial" => cli.dispatch.allow_partial = true,
-            "--chaos-proc" => {
-                let v = value("--chaos-proc")?;
-                let chaos = ChaosProc::parse(&v).ok_or_else(|| {
-                    Failure::Usage(format!(
-                        "bad --chaos-proc '{v}' (kill:<shard>[:attempt] | hang:<shard>[:attempt])"
-                    ))
-                })?;
-                cli.dispatch.chaos.push(chaos);
-            }
             "--workers" => {
                 // Comma-separated and repeatable; order matters (chaos-net
-                // and retry rotation address workers by index).
+                // and retry rotation address remote workers by index).
                 for addr in value("--workers")?.split(',') {
                     let addr = addr.trim();
                     if addr.is_empty() {
@@ -662,8 +591,8 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
                 let v = value("--chaos-net")?;
                 let chaos = ChaosNet::parse(&v).ok_or_else(|| {
                     Failure::Usage(format!(
-                        "bad --chaos-net '{v}' (kill:<worker>[:lease] | stall:<worker>[:lease] \
-                         | garble:<worker>[:lease])"
+                        "bad --chaos-net '{v}' (kill:<k>[:attempt] | stall:<k>[:attempt] \
+                         | garble:<k>[:attempt])"
                     ))
                 })?;
                 cli.remote.chaos.push(chaos);
@@ -701,21 +630,24 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
 
     if cli.procs == 0 {
         return Err(Failure::Usage(
-            "dispatch needs --procs <K> (number of child processes)".to_owned(),
+            "dispatch needs --procs <K> (number of shards)".to_owned(),
         ));
     }
-    if cli.remote.workers.is_empty() {
-        if !cli.remote.chaos.is_empty() {
-            return Err(Failure::Usage(
-                "--chaos-net needs --workers (it injects faults on the worker wire)".to_owned(),
-            ));
-        }
-        if !cli.remote.local_failover {
-            return Err(Failure::Usage(
-                "--no-failover needs --workers (local dispatch has nothing to fail over from)"
-                    .to_owned(),
-            ));
-        }
+    if cli.remote.workers.is_empty() && !cli.remote.local_failover {
+        return Err(Failure::Usage(
+            "--no-failover needs --workers (local dispatch has nothing to fail over from)"
+                .to_owned(),
+        ));
+    }
+    // A healthy worker is silent for up to one heartbeat between frames;
+    // a liveness window that short would revoke every lease.
+    let liveness = cli.dispatch.liveness;
+    if !liveness.is_zero() && liveness <= cli.heartbeat_every {
+        return Err(Failure::Usage(format!(
+            "--liveness-ms ({}) must exceed --heartbeat-ms ({}) or be 0",
+            liveness.as_millis(),
+            cli.heartbeat_every.as_millis()
+        )));
     }
     flags.apply(&mut cli.config);
     canonicalize_ids(&mut cli.ids);
@@ -728,11 +660,12 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
 
 // -------------------------------------------------------------- worker --
 
-/// Long-lived remote shard worker: accept shard-slice leases over the
+/// Long-lived shard worker: accept shard-slice leases over the
 /// line-delimited JSON worker protocol, execute each on the warm
-/// in-process pool (exactly what a local dispatch child runs), stream
-/// inline heartbeats, and answer with the canonical per-shard artifact.
-/// A `dispatch --workers` parent on any machine can lease against it.
+/// in-process pool, stream inline heartbeats, and answer with the
+/// canonical per-shard artifact. A `dispatch --workers` parent on any
+/// machine can lease against it; `dispatch` without `--workers` starts
+/// one per shard attempt on loopback.
 fn cmd_worker(args: Vec<String>) -> CmdResult {
     let mut cfg = WorkerConfig::default();
     let mut ready_file = None;
@@ -793,7 +726,12 @@ fn cmd_worker(args: Vec<String>) -> CmdResult {
         .local_addr()
         .map_err(|e| Failure::Fatal(format!("worker: cannot read bound address: {e}")))?;
     if let Some(path) = &ready_file {
-        write_file(path, &addr.to_string(), "ready file")?;
+        // Write-then-rename: a dispatcher polling the ready file never
+        // reads a half-written address.
+        let tmp = format!("{path}.tmp");
+        write_file(&tmp, &addr.to_string(), "ready file")?;
+        std::fs::rename(&tmp, path)
+            .map_err(|e| Failure::Fatal(format!("failed to write ready file to {path}: {e}")))?;
     }
     eprintln!("worker: listening on {addr}");
 
@@ -979,7 +917,7 @@ fn cmd_serve(args: Vec<String>) -> CmdResult {
             }
             "--hold-ms" => {
                 // Deterministic-delay knob for overload tests, like
-                // --chaos-proc is for dispatch tests.
+                // --chaos-net is for dispatch tests.
                 cfg.hold = Duration::from_millis(parse_num(&value("--hold-ms")?, "--hold-ms")?);
             }
             "--ready-file" => ready_file = Some(value("--ready-file")?),
@@ -1413,9 +1351,9 @@ fn parse_frac(v: &str, flag: &str) -> Result<f64, Failure> {
 // ------------------------------------------------------------- shared --
 
 /// The supervised-runner job for one experiment — the single definition
-/// both `run` and `replay` execute (and, via self-invocation, every
-/// dispatch child), so a replayed or dispatched experiment is driven by
-/// exactly the code that produced the capture.
+/// `run`, `replay`, `serve` and every `worker` execute, so a replayed,
+/// served or dispatched experiment is driven by exactly the code that
+/// produced the capture.
 fn spec_for(id: ExperimentId) -> ExperimentSpec {
     ExperimentSpec::new(id.code(), id.title(), id.family(), move |plan, tel| {
         id.run_instrumented(plan, tel)
@@ -1440,29 +1378,6 @@ fn canonicalize_ids(ids: &mut Vec<ExperimentId>) {
 fn parse_num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, Failure> {
     v.parse()
         .map_err(|_| Failure::Usage(format!("bad {flag} value '{v}'")))
-}
-
-/// Append a heartbeat line to `path` every `every` until process exit, on
-/// a detached thread. The dispatch parent only watches the file *grow* —
-/// the contents are for humans debugging a shard.
-fn start_heartbeat(path: String, every: Duration) {
-    let _ = std::thread::Builder::new()
-        .name("humnet-heartbeat".to_owned())
-        .spawn(move || {
-            let mut beat = 0u64;
-            loop {
-                if let Ok(mut f) = std::fs::OpenOptions::new()
-                    .append(true)
-                    .create(true)
-                    .open(&path)
-                {
-                    use std::io::Write as _;
-                    let _ = writeln!(f, "hb {beat} pid={}", std::process::id());
-                }
-                beat += 1;
-                std::thread::sleep(every);
-            }
-        });
 }
 
 /// Create/truncate `path` now so an unwritable destination fails the
@@ -1490,12 +1405,12 @@ usage: experiments <COMMAND> [ARGS]
 Commands:
   run [OPTIONS] [ID...]          run experiments under the supervisor
   dispatch --procs <K> [OPTIONS] [ID...]
-                                 partition the run across K supervised child
-                                 processes (crash retry, heartbeats, graceful
-                                 partial-result degradation); with --workers
-                                 the shards lease to remote worker daemons
-                                 over TCP instead of local children
-  worker [OPTIONS]               long-lived remote shard worker: accept shard
+                                 partition the run into K shards, each leased
+                                 over TCP to a fresh local worker child (crash
+                                 retry, liveness, graceful partial-result
+                                 degradation); with --workers the shards lease
+                                 to remote worker daemons first
+  worker [OPTIONS]               long-lived shard worker: accept shard
                                  leases over line-delimited JSON on TCP,
                                  execute them on the warm in-process pool,
                                  heartbeat inline, answer with the canonical
@@ -1541,44 +1456,44 @@ Run options (plus the shared options above):
   --report-only        print only the final run report
   --metrics-out <PATH> write the telemetry snapshot (metrics + spans) as JSON
   --journal-out <PATH> write the structured event journal as JSONL
-  --report-out <PATH>  write the report+outputs artifact as JSON (what a
-                       dispatch child hands back to its parent)
-  --heartbeat <PATH>   append a liveness line to PATH while running
-  --heartbeat-ms <N>   heartbeat period (default 100)
+  --report-out <PATH>  write the report+outputs artifact as JSON (the bytes
+                       a serve cache hit returns)
   --trace-summary      print the per-span flame summary after the report
   --help               show this help
 
 Dispatch options (shared options above plus the run options, minus --shards,
---schedule, --report-out and --heartbeat, which dispatch manages itself):
-  --procs <K>          number of child processes (required); the merged
-                       canonical output is byte-identical to the in-process
-                       1-shard run of the same seed
-  --shard-retries <N>  extra spawn attempts per crashed/hung shard (default 1)
+--schedule and --report-out, which dispatch manages itself):
+  --procs <K>          number of shards (required); the merged canonical
+                       output is byte-identical to the in-process 1-shard
+                       run of the same seed
+  --shard-retries <N>  extra lease attempts per failed shard (default 1)
   --shard-deadline-ms <N>
-                       per-attempt wall-clock budget for one child (default 120000)
-  --liveness-ms <N>    kill a child whose heartbeat file stalls this long;
-                       0 disables liveness checking (default 10000)
+                       per-attempt wall-clock budget for one lease (default 120000)
+  --liveness-ms <N>    revoke a lease whose worker sends no frame this long;
+                       must exceed --heartbeat-ms; 0 disables liveness
+                       checking (default 10000)
+  --heartbeat-ms <N>   local workers' inline heartbeat cadence (default 100)
   --allow-partial      degrade to a partial merged result (exit 3) instead of
                        failing when a shard exhausts its retries
-  --chaos-proc <kill:<shard>[:attempt] | hang:<shard>[:attempt]>
-                       deterministic process-fault injection (repeatable)
-  --scratch <DIR>      artifact scratch directory (default under the temp dir)
-  --keep-scratch       keep per-shard artifacts and child logs on success
+  --chaos-net <kill:<k>[:attempt] | stall:<k>[:attempt] | garble:<k>[:attempt]>
+                       deterministic wire-fault injection on attempt
+                       <attempt> (default 0) of target <k> — remote worker
+                       <k> under --workers, else shard <k>'s local worker:
+                       drop the connection, go silent, or emit a corrupt
+                       frame (repeatable)
+  --scratch <DIR>      attempt scratch directory (default under the temp dir)
+  --keep-scratch       keep per-attempt artifacts and worker logs on success
   --workers <HOST:PORT[,HOST:PORT...]>
                        lease shards to these remote worker daemons (in order;
-                       repeatable) instead of spawning local children; the
-                       merged canonical output stays byte-identical to the
+                       repeatable) before any local worker; the merged
+                       canonical output stays byte-identical to the
                        in-process run, failed leases retry on the next
                        surviving worker with the same deterministic backoff
-  --chaos-net <kill:<worker>[:lease] | stall:<worker>[:lease] | garble:<worker>[:lease]>
-                       deterministic wire-fault injection against worker
-                       <worker>'s <lease>-th lease: drop the connection,
-                       go silent, or emit a corrupt frame (repeatable;
-                       needs --workers)
   --no-failover        give up after the remote retries instead of failing
-                       the shard over to a local child process
+                       the shard over to fresh local worker children
   --connect-timeout-ms <N>
-                       TCP connect budget per lease attempt (default 5000)
+                       TCP connect budget per lease attempt, and how long a
+                       local worker may take to become ready (default 5000)
 
 Worker options (plus the shared options above, which set the defaults a
 sparse lease falls back to — each lease overlays its own run tuple):
@@ -1587,6 +1502,7 @@ sparse lease falls back to — each lease overlays its own run tuple):
   --heartbeat-ms <N>   inline heartbeat cadence while a lease executes
                        (default 100)
   --ready-file <PATH>  write the bound address here once listening
+                       (write-then-rename, so readers never see half of it)
   The HUMNET_CHAOS_NET env var (kill[:n] | stall[:n] | garble[:n]) arms a
   startup poison that fires on the n-th accepted lease, for partition tests
   without a cooperating dispatcher. The worker drains and exits when a

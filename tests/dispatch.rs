@@ -1,12 +1,13 @@
 //! Cross-process dispatch contracts, driving the real `experiments`
-//! binary end to end:
+//! binary end to end (each shard attempt leases to a fresh local
+//! `worker` child on loopback):
 //!
-//! - A K-process `dispatch` produces a merged canonical journal and
+//! - A K-shard `dispatch` produces a merged canonical journal and
 //!   canonical report byte-identical to the in-process 1-shard `run` of
-//!   the same seed — including when chaos kills a shard mid-run and the
-//!   supervisor retries it.
-//! - A hung child is killed at the shard deadline instead of wedging the
-//!   dispatch.
+//!   the same seed — including when chaos kills a shard's lease mid-run
+//!   and the supervisor retries it.
+//! - A stalled worker is revoked at the shard deadline, or earlier by
+//!   liveness, instead of wedging the dispatch.
 //! - Exhausted retries fail loudly by default (exit 2) and degrade
 //!   gracefully under `--allow-partial` (exit 3, missing shard and its
 //!   experiments named in the report).
@@ -89,12 +90,12 @@ fn chaos_killed_shard_is_retried_and_the_journal_is_still_identical() {
     ]);
     assert!(base.status.success(), "{}", stderr(&base));
 
-    // Shard 2's first spawn is chaos-killed (exit 137); the retry budget
-    // of 1 lets its second spawn finish the slice.
+    // Shard 2's first worker drops its lease mid-flight; the retry budget
+    // of 1 lets a fresh worker finish the slice.
     let out = run(&[
         "dispatch", "--procs", "4", "--report-only", "--fault-profile", "chaos",
         "--seed", "11",
-        "--chaos-proc", "kill:2", "--shard-retries", "1",
+        "--chaos-net", "kill:2", "--shard-retries", "1",
         "--journal-out", disp.to_str().unwrap(),
         "--scratch", dir.join("s").to_str().unwrap(),
     ]);
@@ -119,7 +120,7 @@ fn hung_child_is_killed_at_the_shard_deadline() {
     // experiment subset keeps the healthy shard quick.
     let out = run(&[
         "dispatch", "--procs", "2", "--report-only", "--seed", "7",
-        "--chaos-proc", "hang:0", "--shard-retries", "0", "--allow-partial",
+        "--chaos-net", "stall:0", "--shard-retries", "0", "--allow-partial",
         "--shard-deadline-ms", "1500", "--liveness-ms", "0",
         "--scratch", dir.join("s").to_str().unwrap(),
         "f3", "t2",
@@ -134,11 +135,11 @@ fn hung_child_is_killed_at_the_shard_deadline() {
 #[test]
 fn silent_child_is_killed_by_heartbeat_liveness_before_the_deadline() {
     let dir = scratch("liveness");
-    // A hung child never heartbeats, so a 1s liveness window kills it long
-    // before the (deliberately huge) 60s deadline would.
+    // A stalled worker sends no frame, so a 1s liveness window revokes
+    // its lease long before the (deliberately huge) 60s deadline would.
     let out = run(&[
         "dispatch", "--procs", "2", "--report-only", "--seed", "7",
-        "--chaos-proc", "hang:0", "--shard-retries", "0", "--allow-partial",
+        "--chaos-net", "stall:0", "--shard-retries", "0", "--allow-partial",
         "--shard-deadline-ms", "60000", "--liveness-ms", "1000",
         "--scratch", dir.join("s").to_str().unwrap(),
         "f3", "t2",
@@ -151,11 +152,11 @@ fn silent_child_is_killed_by_heartbeat_liveness_before_the_deadline() {
 #[test]
 fn exhausted_retries_degrade_gracefully_with_allow_partial() {
     let dir = scratch("partial");
-    // Both spawn attempts of shard 1 are killed: the retry budget runs
+    // Both lease attempts of shard 1 are killed: the retry budget runs
     // out and --allow-partial degrades instead of failing.
     let out = run(&[
         "dispatch", "--procs", "2", "--report-only", "--seed", "7",
-        "--chaos-proc", "kill:1", "--chaos-proc", "kill:1:1",
+        "--chaos-net", "kill:1", "--chaos-net", "kill:1:1",
         "--shard-retries", "1", "--allow-partial",
         "--scratch", dir.join("s").to_str().unwrap(),
         "f3", "t2", "f4", "t3",
@@ -177,7 +178,7 @@ fn dead_shard_without_allow_partial_fails_loudly() {
     let dir = scratch("loud");
     let out = run(&[
         "dispatch", "--procs", "2", "--report-only", "--seed", "7",
-        "--chaos-proc", "kill:1", "--chaos-proc", "kill:1:1",
+        "--chaos-net", "kill:1", "--chaos-net", "kill:1:1",
         "--shard-retries", "1",
         "--scratch", dir.join("s").to_str().unwrap(),
         "f3", "t2", "f4", "t3",
@@ -226,9 +227,19 @@ fn dispatch_cli_rejects_bad_arguments() {
     for (args, needle) in [
         (vec!["dispatch"], "--procs"),
         (vec!["dispatch", "--procs", "0"], "--procs must be positive"),
-        (vec!["dispatch", "--procs", "2", "--chaos-proc", "explode:1"], "--chaos-proc"),
+        (vec!["dispatch", "--procs", "2", "--chaos-net", "explode:1"], "--chaos-net"),
         (vec!["dispatch", "--procs", "2", "--shard-deadline-ms", "0"], "positive"),
         (vec!["dispatch", "--procs", "2", "nosuch"], "unknown experiment id"),
+        // A healthy worker is silent for up to one heartbeat, so a
+        // liveness window that short would revoke every lease.
+        (
+            vec!["dispatch", "--procs", "2", "--liveness-ms", "50", "--heartbeat-ms", "100"],
+            "--liveness-ms (50) must exceed --heartbeat-ms (100)",
+        ),
+        (
+            vec!["dispatch", "--procs", "2", "--liveness-ms", "100"],
+            "must exceed --heartbeat-ms",
+        ),
     ] {
         let out = run(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -7,9 +7,9 @@
 //! - `--chaos-net kill` cuts a worker's connection mid-lease; the retry
 //!   re-leases on the surviving worker and the merged journal is still
 //!   byte-identical.
-//! - Dead worker addresses fail over to local child processes (and the
-//!   journal still matches); with `--no-failover --allow-partial` they
-//!   degrade to exit 3 with the lost experiments named.
+//! - Dead worker addresses fail over to fresh local worker children (and
+//!   the journal still matches); with `--no-failover --allow-partial`
+//!   they degrade to exit 3 with the lost experiments named.
 //! - A worker drains gracefully on a shutdown frame.
 
 use humnet::resilience::Lease;
@@ -208,7 +208,7 @@ fn dead_workers_fail_over_to_local_children_and_stay_byte_identical() {
     let disp = dir.join("dispatch.jsonl");
 
     // Nothing listens on these ports: every remote attempt fails fast and
-    // the supervision ladder falls back to local child processes.
+    // the supervision ladder falls back to fresh local worker children.
     let out = run(&[
         "dispatch", "--procs", "2", "--report-only", "--fault-profile", "chaos",
         "--seed", "7",
@@ -277,10 +277,6 @@ fn dead_workers_without_failover_fail_loudly_by_default() {
 #[test]
 fn remote_cli_rejects_bad_arguments() {
     for (args, needle) in [
-        (
-            vec!["dispatch", "--procs", "2", "--chaos-net", "kill:0"],
-            "--chaos-net needs --workers",
-        ),
         (
             vec!["dispatch", "--procs", "2", "--no-failover"],
             "--no-failover needs --workers",

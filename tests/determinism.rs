@@ -191,3 +191,59 @@ fn supervised_chaos_run_reproducible() {
     let c = supervisor(4321).run(&specs());
     assert_ne!(a.report.canonical(), c.report.canonical());
 }
+
+/// FNV-1a 64-bit digest of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Pinned artefacts: the FNV-1a-64 digest of every experiment's rendered
+/// output, and its injected fault count, under the fault-free plan and
+/// under chaos (plan seed 9). A kernel optimisation that changes a single
+/// canonical byte fails here. Update a value only for a deliberate change
+/// to an experiment's output, and say so in the change log.
+#[test]
+fn every_experiment_matches_its_pinned_digest() {
+    use humnet::core::experiments::ExperimentId;
+    use humnet::resilience::{FaultPlan, FaultProfile};
+
+    const PINNED: [(&str, u64, u64, u64, u64); 17] = [
+        // (code, none digest, none faults, chaos digest, chaos faults)
+        ("f1", 0x1aca093b1a57b4ad, 0, 0x992a2f864e01f5f0, 27),
+        ("t1", 0x8523af34dc5ca65f, 0, 0xb01c15a6b4ec2c48, 540),
+        ("f2", 0x716df2a9d668b317, 0, 0x716df2a9d668b317, 0),
+        ("t2", 0x479f91753ca3913a, 0, 0xa9dbba57bce1600c, 3),
+        ("f3", 0xcea9954e8c9c75a8, 0, 0xcea9954e8c9c75a8, 0),
+        ("f4", 0x4815b41305a775ae, 0, 0x3741b4d46f94f924, 11),
+        ("t3", 0x6ebd65ef0253f74a, 0, 0x7556f0eab93b3e0f, 1890),
+        ("f5", 0x5edb54315f5c6f6b, 0, 0x3b5afe9772ed7499, 216),
+        ("t4", 0x1e102c5b9b95e4be, 0, 0x1e102c5b9b95e4be, 0),
+        ("f6", 0x881a565112f644fb, 0, 0x881a565112f644fb, 0),
+        ("t5", 0xddaf8f189da25f06, 0, 0xddaf8f189da25f06, 0),
+        ("f7", 0x7d7f0a39e3830eaa, 0, 0x7d7f0a39e3830eaa, 0),
+        ("f8", 0x8419ed1f4b4d92cf, 0, 0x8419ed1f4b4d92cf, 0),
+        ("f9", 0xab1e42bf9ef4686d, 0, 0xab1e42bf9ef4686d, 0),
+        ("t6", 0x4b760c1f9d78b854, 0, 0x4b760c1f9d78b854, 0),
+        ("t7", 0x8e607339fbf6d09f, 0, 0x8e607339fbf6d09f, 0),
+        ("f10", 0x32d21b27cabbd1d1, 0, 0x32d21b27cabbd1d1, 0),
+    ];
+    let digest = |id: ExperimentId, plan: FaultPlan| {
+        let run = id.run(&plan).unwrap();
+        (fnv1a64(run.rendered.as_bytes()), run.faults_injected)
+    };
+    let mut actual = Vec::new();
+    for id in ExperimentId::ALL {
+        let (none, none_faults) = digest(id, FaultPlan::new(FaultProfile::None, 9));
+        let (chaos, chaos_faults) = digest(id, FaultPlan::new(FaultProfile::Chaos, 9));
+        actual.push((id.code(), none, none_faults, chaos, chaos_faults));
+    }
+    for (got, want) in actual.iter().zip(PINNED.iter()) {
+        assert_eq!(got, want, "experiment {} drifted from its pinned artefact", want.0);
+    }
+    assert_eq!(actual.len(), PINNED.len());
+}

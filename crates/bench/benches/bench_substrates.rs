@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use humnet_graph::{barabasi_albert, betweenness_centrality, pagerank};
 use humnet_ixp::routing::reference::ReferenceTable;
 use humnet_ixp::{synthetic_internet, AsKind, AsTopology, RegionTag, RoutingTable};
-use humnet_stats::{bootstrap_ci, gini, mean, Rng};
+use humnet_stats::{bootstrap_ci, gini, mean, PrefixSampler, Rng};
 use humnet_text::{tokenize, TfIdf};
 use std::sync::Arc;
 
@@ -35,6 +35,35 @@ fn bench_rng(c: &mut Criterion) {
     group.bench_function("zipf_n1000", |b| {
         let mut rng = Rng::new(1);
         b.iter(|| black_box(rng.zipf(1000, 1.2)))
+    });
+    // The agenda ABM's pattern: 110 discovery weights, one draw, then the
+    // drawn problem's weight grows. The oracle rescans every weight per
+    // draw; the prefix sampler binary-searches and refreshes from the
+    // updated index on.
+    let mut wrng = Rng::new(6);
+    let weights: Vec<f64> = (0..110)
+        .map(|_| wrng.next_f64() * wrng.next_f64() + 0.01)
+        .collect();
+    group.bench_function("choose_weighted_110", |b| {
+        let mut rng = Rng::new(1);
+        let mut w = weights.clone();
+        b.iter(|| {
+            let pick = rng.choose_weighted(&w);
+            w[pick] += 0.01;
+            black_box(pick)
+        })
+    });
+    group.bench_function("prefix_sampler_110", |b| {
+        let mut rng = Rng::new(1);
+        let mut w = weights.clone();
+        let mut sampler = PrefixSampler::new();
+        sampler.reset(w.iter().copied());
+        b.iter(|| {
+            let pick = sampler.sample(&mut rng);
+            w[pick] += 0.01;
+            sampler.set(pick, w[pick]);
+            black_box(pick)
+        })
     });
     group.finish();
 }

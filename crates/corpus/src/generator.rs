@@ -23,7 +23,7 @@ use crate::model::{
     Author, Corpus, MethodTag, Paper, Region, Topic, Venue, VenueKind,
 };
 use crate::{CorpusError, Result};
-use humnet_stats::Rng;
+use humnet_stats::{PrefixSampler, Rng};
 use humnet_text::MarkovModel;
 
 /// Per-venue generation profile.
@@ -184,6 +184,15 @@ impl CorpusConfig {
             .collect();
         let authors = self.generate_authors(&mut rng);
         let markov = topic_markov_models();
+        // Author weights are fixed per venue kind; citation weights per
+        // citing topic change one paper at a time. Both samplers are
+        // indexed in `VenueKind::ALL` / `Topic::ALL` (declaration) order.
+        let mut author_samplers: Vec<PrefixSampler> = VenueKind::ALL
+            .iter()
+            .map(|&kind| author_sampler(&authors, kind))
+            .collect();
+        let mut citation_samplers: Vec<PrefixSampler> =
+            Topic::ALL.iter().map(|_| PrefixSampler::new()).collect();
         let mut papers: Vec<Paper> = Vec::new();
         let mut in_degree: Vec<u32> = Vec::new();
         for year_idx in 0..self.years {
@@ -196,16 +205,21 @@ impl CorpusConfig {
                         year_idx,
                         venue_id,
                         profile.kind,
-                        &authors,
-                        &papers,
-                        &in_degree,
+                        &mut author_samplers[profile.kind as usize],
+                        &mut citation_samplers,
                         &markov,
                         &mut rng,
                     );
                     for &c in &paper.citations {
                         in_degree[c] += 1;
+                        for (&topic, sampler) in Topic::ALL.iter().zip(&mut citation_samplers) {
+                            sampler.set(c, citation_weight(in_degree[c], papers[c].topic, topic));
+                        }
                     }
                     in_degree.push(0);
+                    for (&topic, sampler) in Topic::ALL.iter().zip(&mut citation_samplers) {
+                        sampler.push(citation_weight(0, paper.topic, topic));
+                    }
                     papers.push(paper);
                 }
             }
@@ -245,9 +259,8 @@ impl CorpusConfig {
         year_idx: u32,
         venue_id: usize,
         kind: VenueKind,
-        authors: &[Author],
-        prior_papers: &[Paper],
-        in_degree: &[u32],
+        author_sampler: &mut PrefixSampler,
+        citation_samplers: &mut [PrefixSampler],
         markov: &[(Topic, MarkovModel)],
         rng: &mut Rng,
     ) -> Paper {
@@ -255,11 +268,9 @@ impl CorpusConfig {
         let methods = sample_methods(kind, topic, year_idx, self.positionality_trend_per_year, rng);
         // Authors: 1 + Poisson(mean - 1), capped.
         let n_authors = (1 + rng.poisson(self.mean_authors - 1.0) as usize).min(8);
-        let author_ids = sample_authors(authors, kind, n_authors, rng);
+        let author_ids = sample_authors(author_sampler, n_authors, rng);
         let citations = sample_citations(
-            prior_papers,
-            in_degree,
-            topic,
+            &mut citation_samplers[topic as usize],
             self.mean_citations,
             self.preferential_strength,
             rng,
@@ -431,12 +442,8 @@ fn sample_methods(
     methods
 }
 
-fn sample_authors(
-    authors: &[Author],
-    kind: VenueKind,
-    n: usize,
-    rng: &mut Rng,
-) -> Vec<usize> {
+/// Author weights for papers at a venue of `kind`.
+fn author_sampler(authors: &[Author], kind: VenueKind) -> PrefixSampler {
     // Systems venues under-sample Global South authors relative to the pool
     // (modelling the differential reachability the paper describes).
     let south_penalty = match kind {
@@ -445,17 +452,19 @@ fn sample_authors(
         VenueKind::HciCscw => 0.8,
         VenueKind::Ictd | VenueKind::SocialScience => 1.6,
     };
-    let weights: Vec<f64> = authors
-        .iter()
-        .map(|a| match a.region {
-            Region::GlobalNorth => 1.0,
-            Region::GlobalSouth => south_penalty,
-        })
-        .collect();
+    let mut sampler = PrefixSampler::new();
+    sampler.reset(authors.iter().map(|a| match a.region {
+        Region::GlobalNorth => 1.0,
+        Region::GlobalSouth => south_penalty,
+    }));
+    sampler
+}
+
+fn sample_authors(sampler: &mut PrefixSampler, n: usize, rng: &mut Rng) -> Vec<usize> {
     let mut chosen: Vec<usize> = Vec::with_capacity(n);
     let mut guard = 0;
-    while chosen.len() < n.min(authors.len()) && guard < 10_000 {
-        let pick = rng.choose_weighted(&weights);
+    while chosen.len() < n.min(sampler.len()) && guard < 10_000 {
+        let pick = sampler.sample(rng);
         if !chosen.contains(&pick) {
             chosen.push(pick);
         }
@@ -464,10 +473,22 @@ fn sample_authors(
     chosen
 }
 
+/// Preferential-attachment weight of a prior paper on `paper_topic` with
+/// `in_degree` citations, as seen from a paper on `topic`: one more than
+/// its in-degree, doubled for same-topic papers (homophily).
+fn citation_weight(in_degree: u32, paper_topic: Topic, topic: Topic) -> f64 {
+    let base = (in_degree + 1) as f64;
+    if paper_topic == topic {
+        base * 2.0
+    } else {
+        base
+    }
+}
+
+/// Citations for a new paper; `prior` holds the citation weights of every
+/// earlier paper as seen from the new paper's topic.
 fn sample_citations(
-    prior: &[Paper],
-    in_degree: &[u32],
-    topic: Topic,
+    prior: &mut PrefixSampler,
     mean: f64,
     preferential: f64,
     rng: &mut Rng,
@@ -481,20 +502,7 @@ fn sample_citations(
     while cites.len() < want.min(prior.len()) && guard < 10_000 {
         guard += 1;
         let candidate = if rng.chance(preferential) {
-            // Preferential attachment: weight by in-degree + 1, doubled for
-            // same-topic papers (homophily).
-            let weights: Vec<f64> = prior
-                .iter()
-                .map(|p| {
-                    let base = (in_degree[p.id] + 1) as f64;
-                    if p.topic == topic {
-                        base * 2.0
-                    } else {
-                        base
-                    }
-                })
-                .collect();
-            rng.choose_weighted(&weights)
+            prior.sample(rng)
         } else {
             rng.range(0, prior.len())
         };

@@ -53,7 +53,7 @@ pub use hypothesis::{
 };
 pub use inequality::{gini, jain_fairness, lorenz_curve, theil_index, top_share};
 pub use regression::{ols, OlsFit};
-pub use rng::Rng;
+pub use rng::{PrefixSampler, Rng};
 
 /// Errors produced by statistical routines in this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

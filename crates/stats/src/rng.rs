@@ -12,7 +12,9 @@
 //! On top of the raw stream, [`Rng`] provides the distributions the
 //! simulators need: uniform ranges, Bernoulli, normal (Box–Muller),
 //! exponential, Poisson, Zipf, Pareto, log-normal, weighted choice,
-//! shuffling, and sampling without replacement.
+//! shuffling, and sampling without replacement. [`PrefixSampler`] draws
+//! the same weighted choice incrementally, for weights that change a few
+//! at a time between draws.
 
 /// SplitMix64: a tiny, fast 64-bit generator used for seed expansion.
 ///
@@ -38,6 +40,10 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 }
+
+/// Panic message shared by [`Rng::choose_weighted`] and
+/// [`PrefixSampler::sample`] when the weights cannot be sampled.
+const WEIGHTED_TOTAL_MSG: &str = "choose_weighted() requires positive finite total weight";
 
 /// The general-purpose humnet generator: `xoshiro256**` seeded via SplitMix64.
 ///
@@ -233,10 +239,7 @@ impl Rng {
     /// positive). Runs in O(n).
     pub fn choose_weighted(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
-        assert!(
-            total > 0.0 && total.is_finite(),
-            "choose_weighted() requires positive finite total weight"
-        );
+        assert!(total > 0.0 && total.is_finite(), "{WEIGHTED_TOTAL_MSG}");
         let target = self.next_f64() * total;
         let mut acc = 0.0;
         let mut last_positive = 0;
@@ -275,6 +278,100 @@ impl Rng {
             }
         }
         chosen
+    }
+}
+
+/// Weighted index sampling over weights that change a few at a time.
+///
+/// Holds the weights and their prefix sums. [`PrefixSampler::sample`]
+/// draws exactly the index [`Rng::choose_weighted`] would draw from the
+/// same weights and generator state: it consumes one `next_f64`, sums the
+/// positive weights in the same sequential order (so the total and every
+/// partial sum are bit-identical), and returns the first positive-weight
+/// index whose partial sum reaches the target. Non-positive weights are
+/// never drawn. Prefix sums are refreshed lazily from the lowest index
+/// changed since the last draw, so [`PrefixSampler::set`] at index `i`
+/// costs O(n − i) at the next draw, [`PrefixSampler::push`] costs O(1),
+/// and a draw on unchanged weights is a binary search.
+#[derive(Debug, Clone, Default)]
+pub struct PrefixSampler {
+    weights: Vec<f64>,
+    /// `prefix[i]` is the running sum of the positive weights in `0..=i`;
+    /// valid below `dirty`.
+    prefix: Vec<f64>,
+    /// Lowest index whose prefix sum is stale; the length when none is,
+    /// and never more.
+    dirty: usize,
+}
+
+impl PrefixSampler {
+    /// An empty sampler.
+    pub fn new() -> Self {
+        PrefixSampler::default()
+    }
+
+    /// Replace every weight, reusing the sampler's buffers.
+    pub fn reset(&mut self, weights: impl IntoIterator<Item = f64>) {
+        self.weights.clear();
+        self.weights.extend(weights);
+        self.prefix.clear();
+        self.dirty = 0;
+    }
+
+    /// Number of weights.
+    pub fn len(&self) -> usize {
+        self.weights.len()
+    }
+
+    /// Whether the sampler holds no weights.
+    pub fn is_empty(&self) -> bool {
+        self.weights.is_empty()
+    }
+
+    /// Change the weight at index `i`. Panics if `i` is out of range.
+    pub fn set(&mut self, i: usize, w: f64) {
+        self.weights[i] = w;
+        self.dirty = self.dirty.min(i);
+    }
+
+    /// Append a weight. Its sum is stale by construction: `dirty` never
+    /// exceeds the old length.
+    pub fn push(&mut self, w: f64) {
+        self.weights.push(w);
+    }
+
+    /// Draw an index with probability proportional to its weight, exactly
+    /// as [`Rng::choose_weighted`] would. Panics, with the same message, if
+    /// the positive weights do not sum to a positive finite total.
+    pub fn sample(&mut self, rng: &mut Rng) -> usize {
+        self.refresh();
+        let total = self.prefix.last().copied().unwrap_or(0.0);
+        assert!(total > 0.0 && total.is_finite(), "{WEIGHTED_TOTAL_MSG}");
+        let target = rng.next_f64() * total;
+        // Prefix sums never decrease, so this is the first index whose
+        // partial sum reaches the target.
+        let first = self.prefix.partition_point(|&p| p < target);
+        // Only a zero target can land on a non-positive weight (at index 0,
+        // whose sum is then 0); like the scan, move on to the first positive
+        // weight. One exists: the positive total is some weight's sum.
+        let skip = self.weights[first..].iter().position(|&w| w > 0.0);
+        first + skip.expect("a positive weight reaches the total")
+    }
+
+    fn refresh(&mut self) {
+        let (from, n) = (self.dirty, self.weights.len());
+        if from >= n {
+            return;
+        }
+        self.prefix.resize(n, 0.0);
+        let mut acc = if from == 0 { 0.0 } else { self.prefix[from - 1] };
+        for (p, &w) in self.prefix[from..].iter_mut().zip(&self.weights[from..]) {
+            if w > 0.0 {
+                acc += w;
+            }
+            *p = acc;
+        }
+        self.dirty = n;
     }
 }
 
@@ -433,6 +530,38 @@ mod tests {
         assert_eq!(counts[1], 0);
         let ratio = counts[2] as f64 / counts[0] as f64;
         assert!((ratio - 3.0).abs() < 0.2, "ratio {ratio}");
+    }
+
+    #[test]
+    fn prefix_sampler_matches_the_scan_on_exact_boundary_draws() {
+        // `s[1] == 0` makes the next output 0, so the target is exactly 0.
+        let zero = Rng { s: [1, 0, 0, 0], gauss_spare: None };
+        // The next output is 2^63 (a draw of exactly 0.5): 5 · 205 ≡ 1
+        // (mod 2^8), rotl(2^56, 7) = 2^63, and 9 · 2^63 ≡ 2^63 (mod 2^64).
+        let half = Rng { s: [1, 205 << 56, 0, 0], gauss_spare: None };
+        assert_eq!(zero.clone().next_f64(), 0.0);
+        assert_eq!(half.clone().next_f64(), 0.5);
+        let cases: [(&Rng, &[f64]); 3] = [
+            // A zero target skips the leading non-positive weights.
+            (&zero, &[0.0, -2.0, 0.0, 3.0, 1.0]),
+            // A target equal to a partial sum picks the index reaching it.
+            (&half, &[1.0, 1.0]),
+            (&half, &[0.0, 1.0, 0.0, 0.5, 0.5]),
+        ];
+        for (rng, weights) in cases {
+            let mut sampler = PrefixSampler::new();
+            sampler.reset(weights.iter().copied());
+            let want = rng.clone().choose_weighted(weights);
+            assert_eq!(sampler.sample(&mut rng.clone()), want, "{weights:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "choose_weighted() requires positive finite total weight")]
+    fn prefix_sampler_rejects_all_zero_weights() {
+        let mut sampler = PrefixSampler::new();
+        sampler.reset([0.0, 0.0, 0.0]);
+        sampler.sample(&mut Rng::new(1));
     }
 
     #[test]

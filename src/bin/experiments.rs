@@ -1093,7 +1093,7 @@ fn cmd_ramp(args: Vec<String>) -> CmdResult {
     let mut mix_seeds: u64 = 8;
     let mut ids: Vec<ExperimentId> = Vec::new();
     let mut capacity_out: Option<String> = None;
-    let mut history_file = "CAPACITY_HISTORY.jsonl".to_owned();
+    let mut history_file: Option<String> = None;
     let mut trend_only = false;
     let mut timeout = Duration::from_secs(10);
     let mut cfg = ServeConfig::default();
@@ -1162,7 +1162,7 @@ fn cmd_ramp(args: Vec<String>) -> CmdResult {
                 mix_seeds = parse_num(&value("--mix-seeds")?, "--mix-seeds")?;
             }
             "--capacity-out" => capacity_out = Some(value("--capacity-out")?),
-            "--history-file" => history_file = value("--history-file")?,
+            "--history-file" => history_file = Some(value("--history-file")?),
             "--trend" => trend_only = true,
             "--timeout-ms" => {
                 let ms: u64 = parse_num(&value("--timeout-ms")?, "--timeout-ms")?;
@@ -1214,6 +1214,8 @@ fn cmd_ramp(args: Vec<String>) -> CmdResult {
     if trend_only {
         // Render the per-revision capacity ledger and stop — no daemon,
         // no load, no appends.
+        let history_file = history_file
+            .ok_or_else(|| Failure::Usage("--trend needs --history-file <PATH>".to_owned()))?;
         let entries = read_history(std::path::Path::new(&history_file)).map_err(|e| {
             Failure::Fatal(format!("ramp: cannot read capacity history {history_file}: {e}"))
         })?;
@@ -1309,9 +1311,13 @@ fn cmd_ramp(args: Vec<String>) -> CmdResult {
         write_file(path, &json, "capacity report")?;
         eprintln!("ramp: capacity report written to {path}");
     }
-    // Best-effort per-revision ledger: one line per code-rev, duplicates
-    // skipped, so repeated ramps of the same build stay idempotent. A
-    // write failure is worth a warning, not a failed ramp.
+    // Best-effort per-revision ledger, written only when asked for: one
+    // line per code-rev, duplicates skipped, so repeated ramps of the same
+    // build stay idempotent. A write failure is worth a warning, not a
+    // failed ramp.
+    let Some(history_file) = history_file else {
+        return Ok(0);
+    };
     match append_history(std::path::Path::new(&history_file), &report) {
         Ok(true) => eprintln!(
             "ramp: capacity trend appended to {history_file} (code-rev {})",
@@ -1570,10 +1576,10 @@ defaults):
   --history-file <PATH>
                        per-revision capacity ledger a successful ramp appends
                        one line to — duplicate code-revs are skipped, so
-                       re-ramping the same build is idempotent
-                       (default CAPACITY_HISTORY.jsonl)
-  --trend              render the ledger as a per-revision table and exit
-                       without ramping
+                       re-ramping the same build is idempotent (default:
+                       none; without it no ledger is read or written)
+  --trend              render the --history-file ledger as a per-revision
+                       table and exit without ramping (needs --history-file)
   --timeout-ms <N>     per-connection socket timeout (default 10000)
   --cache-dir/--cache-max-entries/--queue-depth/--concurrency/--handlers/
   --hold-ms            tune the self-spawned daemon (ignored with --addr;

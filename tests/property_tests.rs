@@ -5,7 +5,8 @@ use humnet::graph::{erdos_renyi, pagerank};
 use humnet::ixp::{AsKind, AsTopology, RegionTag, RouteKind, RoutingTable};
 use humnet::qual::{cohen_kappa, krippendorff_alpha, percent_agreement};
 use humnet::stats::{
-    evenness, gini, jain_fairness, lorenz_curve, mean, quantile, shannon_entropy, Rng,
+    evenness, gini, jain_fairness, lorenz_curve, mean, quantile, shannon_entropy, PrefixSampler,
+    Rng,
 };
 use proptest::prelude::*;
 
@@ -425,6 +426,77 @@ proptest! {
             prop_assert!(out.fairness.is_nan() || (0.0..=1.0 + 1e-9).contains(&out.fairness));
             prop_assert!((0.0..=1.0 + 1e-9).contains(&out.utilization));
             prop_assert!((0.0..=1.0 + 1e-9).contains(&out.starvation));
+        }
+    }
+}
+
+/// Decode a generated code into a weight: a quarter are zero, some are
+/// negative or tiny enough to vanish into a running sum, the rest spread
+/// over a few orders of magnitude with inexact binary fractions.
+fn weight_of(code: u32) -> f64 {
+    match code % 1000 {
+        0..=249 => 0.0,
+        250..=299 => -1.5,
+        300..=349 => 1e-17 * f64::from(code % 1000),
+        c => f64::from(c) / 7.3 * f64::from(1 + code / 1000 % 4),
+    }
+}
+
+// The incremental sampler is an exact replacement for the rebuild-per-draw
+// oracle: after any interleaving of `set`, `push` and draws it picks the
+// same index as `Rng::choose_weighted` over the same weights and leaves the
+// generator in the same state.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn prefix_sampler_matches_choose_weighted(
+        seed in 0u64..u64::MAX,
+        leading_zeros in 0usize..12,
+        codes in prop::collection::vec(0u32..4000, 1..60),
+        single in 0usize..4,
+        ops in prop::collection::vec(0u32..u32::MAX, 1..200),
+    ) {
+        let mut weights: Vec<f64> = std::iter::repeat_n(0.0, leading_zeros)
+            .chain(codes.iter().map(|&c| weight_of(c)))
+            .collect();
+        if single == 0 {
+            // A single positive weight somewhere after the leading zeros.
+            let keep = leading_zeros + codes[0] as usize % codes.len();
+            for (i, w) in weights.iter_mut().enumerate() {
+                *w = if i == keep { 2.5 } else { 0.0 };
+            }
+        }
+        let mut sampler = PrefixSampler::new();
+        sampler.reset(weights.iter().copied());
+        let mut oracle = Rng::new(seed);
+        let mut fast = Rng::new(seed);
+        for op in ops {
+            // Low two bits pick the operation; the rest index and weigh it.
+            let (kind, arg) = (op % 4, op / 4);
+            match kind {
+                0 => {
+                    let i = arg as usize % weights.len();
+                    let w = weight_of(arg / 64);
+                    weights[i] = w;
+                    sampler.set(i, w);
+                }
+                1 => {
+                    let w = weight_of(arg);
+                    weights.push(w);
+                    sampler.push(w);
+                }
+                _ => {
+                    let total: f64 = weights.iter().filter(|w| **w > 0.0).sum();
+                    if total <= 0.0 {
+                        continue;
+                    }
+                    let want = oracle.choose_weighted(&weights);
+                    let got = sampler.sample(&mut fast);
+                    prop_assert_eq!(got, want, "weights {:?}", weights);
+                    prop_assert_eq!(fast.next_u64(), oracle.next_u64());
+                }
+            }
         }
     }
 }

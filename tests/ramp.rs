@@ -6,6 +6,8 @@
 //!   code-rev-stamped capacity report.
 //! - Ramping an external daemon (`--addr`) leaves it healthy: a plain
 //!   query succeeds after the overload phases, i.e. shedding recovered.
+//! - Without `--history-file` a ramp reads and writes no capacity ledger,
+//!   and `--trend` is a usage error.
 
 use humnet::serve::ramp::CAPACITY_SCHEMA;
 use humnet::serve::CapacityReport;
@@ -135,6 +137,55 @@ fn self_spawned_ramp_finds_a_knee_and_writes_the_report() {
     assert!(table.contains("Capacity trend"), "{table}");
     assert!(table.contains(&report.code_rev), "{table}");
     assert!(table.contains("1 revision(s)"), "{table}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ramp_without_history_file_writes_no_ledger() {
+    let dir = scratch("no-history");
+    let out = Command::new(EXE)
+        .current_dir(&dir)
+        .args([
+            "ramp",
+            "--cache-dir",
+            dir.join("cache").to_str().unwrap(),
+            "--initial-rps",
+            "5",
+            "--increment-rps",
+            "5",
+            "--max-rps",
+            "10",
+            "--step-ms",
+            "200",
+            "--bisect-iters",
+            "1",
+        ])
+        .output()
+        .expect("experiments binary runs");
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(!stderr(&out).contains("capacity trend"), "{}", stderr(&out));
+    // Only the cache dir it was given: no ledger in the working directory.
+    let entries: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(
+        entries,
+        vec!["cache".to_owned()],
+        "ramp left {entries:?} behind"
+    );
+
+    let trend = Command::new(EXE)
+        .current_dir(&dir)
+        .args(["ramp", "--trend"])
+        .output()
+        .expect("experiments binary runs");
+    assert_eq!(trend.status.code(), Some(2), "{}", stderr(&trend));
+    assert!(
+        stderr(&trend).contains("--history-file"),
+        "{}",
+        stderr(&trend)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -13,7 +13,15 @@
 //! Together these yield *valley-free* paths: zero or more customer→provider
 //! ("up") hops, at most one peer hop, then zero or more provider→customer
 //! ("down") hops. The computation runs the classic three-phase propagation
-//! per destination.
+//! per destination, each phase linear in what it touches:
+//!
+//! 1. customer routes climb the provider links by BFS from the destination;
+//! 2. peer routes are one session away from a customer route, so only the
+//!    peers of the phase-1 set scan their sessions;
+//! 3. provider routes descend in one pass over the hierarchy's cached
+//!    providers-first order ([`FrozenTopology::down_order`]): with unit
+//!    link costs, each AS without a better route takes the shortest
+//!    selected route among its already-settled providers.
 //!
 //! ## Representation
 //!
@@ -23,27 +31,25 @@
 //! one `u32` *peer-IXP* row, each `n` wide, packed contiguously with
 //! `u32::MAX` as the "none" sentinel. That is 9 bytes per (AS,
 //! destination) pair instead of the seven pointer-carrying `Vec`s per
-//! destination the original implementation kept (retained verbatim in
+//! destination the original implementation kept (retained in
 //! [`reference`] for differential testing). Paths are reconstructed on
 //! request by walking next-hop rows, never stored.
 //!
 //! ## Parallelism and determinism
 //!
 //! Per-destination propagation is embarrassingly parallel.
-//! [`RoutingTable::compute_frozen`] fans contiguous slices of the sorted
-//! destination list across the shared pooled worker runtime
-//! (`humnet_resilience::pool_execute`) and reassembles the returned row
-//! blocks in slice order, so the assembled table is byte-identical
-//! whatever the worker count — the same discipline the experiment
-//! runner's work-stealing schedule uses.
+//! [`RoutingTable::compute_frozen`] allocates the three output arrays once
+//! and splits them, with the sorted destination list, into contiguous
+//! slices that scoped threads fill in place. Which thread fills a slice
+//! never changes its bytes, so the table is byte-identical whatever the
+//! worker count.
 
 use crate::topology::{AsId, AsTopology, FrozenTopology, IxpId, NO_IXP};
 use crate::{IxpError, Result};
-use humnet_resilience::pool_execute;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
+use std::panic;
+use std::sync::{Mutex, PoisonError};
+use std::thread;
 
 const INF: u32 = u32::MAX;
 /// Sentinel for "no next hop" in the packed next-hop rows.
@@ -98,19 +104,21 @@ impl Route {
     }
 }
 
-/// Reusable per-worker state for the three propagation phases: the seven
-/// per-destination arrays of the classic algorithm, reset with `fill`
-/// between destinations instead of reallocated.
+/// Reusable per-worker state for the three propagation phases. Only the
+/// ASes a destination touched are reset between destinations, so the
+/// per-destination cost is the touched set plus one pass over the order.
 struct Scratch {
     dist_cust: Vec<u32>,
     next_cust: Vec<u32>,
     dist_peer: Vec<u32>,
     next_peer: Vec<u32>,
     peer_ixp: Vec<u32>,
-    dist_down: Vec<u32>,
-    next_down: Vec<u32>,
-    queue: VecDeque<u32>,
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// Length of each AS's selected route, written in `down_order`.
+    sel_len: Vec<u32>,
+    /// Phase-1 BFS queue; afterwards, every AS holding a customer route.
+    cust_set: Vec<u32>,
+    /// Every AS holding a peer route, each once.
+    peer_set: Vec<u32>,
 }
 
 impl Scratch {
@@ -121,146 +129,170 @@ impl Scratch {
             dist_peer: vec![INF; n],
             next_peer: vec![NO_NEXT; n],
             peer_ixp: vec![NO_IXP; n],
-            dist_down: vec![INF; n],
-            next_down: vec![NO_NEXT; n],
-            queue: VecDeque::new(),
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Distance of the *selected* route at `u`: customer preferred over
-    /// peer over provider regardless of length (the Gao–Rexford
-    /// preference).
-    #[inline]
-    fn selected_len(&self, u: usize) -> u32 {
-        if self.dist_cust[u] != INF {
-            self.dist_cust[u]
-        } else if self.dist_peer[u] != INF {
-            self.dist_peer[u]
-        } else {
-            self.dist_down[u]
+            sel_len: vec![INF; n],
+            cust_set: Vec::new(),
+            peer_set: Vec::new(),
         }
     }
 }
 
-/// One destination's propagation, appended as three `n`-wide rows onto the
-/// output blocks. The next-hop scratch entries are only meaningful where
-/// the matching distance is finite, so rows are derived distance-first.
-fn compute_rows(
+/// One destination's propagation, written into three `n`-wide rows. The
+/// next-hop scratch entries are only meaningful where the matching
+/// distance is finite, so rows are derived distance-first.
+fn compute_row(
     ft: &FrozenTopology,
     dst: usize,
     s: &mut Scratch,
-    class_out: &mut Vec<u8>,
-    next_out: &mut Vec<u32>,
-    ixp_out: &mut Vec<u32>,
+    class_row: &mut [u8],
+    next_row: &mut [u32],
+    ixp_row: &mut [u32],
 ) {
-    let n = ft.as_count();
-    s.dist_cust.fill(INF);
-    s.dist_peer.fill(INF);
-    s.dist_down.fill(INF);
+    for &u in &s.cust_set {
+        s.dist_cust[u as usize] = INF;
+    }
+    for &u in &s.peer_set {
+        s.dist_peer[u as usize] = INF;
+    }
+    s.cust_set.clear();
+    s.peer_set.clear();
     // Phase 1: customer routes propagate upward (customer -> provider)
     // by BFS on uniform weights.
     s.dist_cust[dst] = 0;
-    s.queue.clear();
-    s.queue.push_back(dst as u32);
-    while let Some(u) = s.queue.pop_front() {
+    s.cust_set.push(dst as u32);
+    let mut head = 0;
+    while head < s.cust_set.len() {
+        let u = s.cust_set[head];
+        head += 1;
         let du = s.dist_cust[u as usize];
         for &p in ft.providers_of(u as usize) {
             if s.dist_cust[p as usize] == INF {
                 s.dist_cust[p as usize] = du + 1;
                 s.next_cust[p as usize] = u;
-                s.queue.push_back(p);
+                s.cust_set.push(p);
             }
         }
     }
-    // Phase 2: peer routes — one peer hop extending a customer route
-    // (or the destination itself). First candidate wins among equal
-    // (distance, neighbor) pairs, so session order matters.
-    for u in 0..n {
-        let (nbrs, ixps) = ft.peer_sessions_of(u);
-        let mut best_d = INF;
-        let mut best_v = NO_NEXT;
-        let mut best_ixp = NO_IXP;
-        for (i, &v) in nbrs.iter().enumerate() {
-            let dv = s.dist_cust[v as usize];
-            if dv != INF {
-                let cand = dv + 1;
-                if cand < best_d || (cand == best_d && v < best_v) {
-                    best_d = cand;
-                    best_v = v;
-                    best_ixp = ixps[i];
+    // Phase 2: peer routes — one peer hop extending a customer route (or
+    // the destination itself), so only peers of the phase-1 set can hold
+    // one. Each such AS scans its own sessions; the first candidate wins
+    // among equal (distance, neighbor) pairs, so session order matters.
+    // Every scanned AS ends with a finite peer distance, which also marks
+    // it as done.
+    for i in 0..s.cust_set.len() {
+        for &w in ft.peer_sessions_of(s.cust_set[i] as usize).0 {
+            let w = w as usize;
+            if s.dist_peer[w] != INF {
+                continue;
+            }
+            let (nbrs, ixps) = ft.peer_sessions_of(w);
+            let mut best_d = INF;
+            let mut best_v = NO_NEXT;
+            let mut best_ixp = NO_IXP;
+            for (k, &v) in nbrs.iter().enumerate() {
+                let dv = s.dist_cust[v as usize];
+                if dv != INF {
+                    let cand = dv + 1;
+                    if cand < best_d || (cand == best_d && v < best_v) {
+                        best_d = cand;
+                        best_v = v;
+                        best_ixp = ixps[k];
+                    }
                 }
             }
-        }
-        if best_d != INF {
-            s.dist_peer[u] = best_d;
-            s.next_peer[u] = best_v;
-            s.peer_ixp[u] = best_ixp;
-        }
-    }
-    // Phase 3: provider routes propagate downward from every AS that
-    // has selected a route; a node's exportable length is that of its
-    // selected route.
-    s.heap.clear();
-    for u in 0..n {
-        let len = s.selected_len(u);
-        if len != INF {
-            s.heap.push(Reverse((len, u as u32)));
+            s.dist_peer[w] = best_d;
+            s.next_peer[w] = best_v;
+            s.peer_ixp[w] = best_ixp;
+            s.peer_set.push(w as u32);
         }
     }
-    while let Some(Reverse((len, u))) = s.heap.pop() {
-        if len > s.selected_len(u as usize) {
-            continue; // stale entry
-        }
-        for &c in ft.customers_of(u as usize) {
-            let cand = len + 1;
-            let c = c as usize;
-            if cand < s.dist_down[c] {
-                let before = s.selected_len(c);
-                s.dist_down[c] = cand;
-                s.next_down[c] = u;
-                let after = s.selected_len(c);
-                if after < before {
-                    s.heap.push(Reverse((after, c as u32)));
-                }
-            }
-        }
-    }
-    // Derive the packed selected-route rows.
-    for u in 0..n {
-        if s.dist_cust[u] != INF {
-            class_out.push(CLASS_CUST);
-            next_out.push(if u == dst { NO_NEXT } else { s.next_cust[u] });
-            ixp_out.push(NO_IXP);
-        } else if s.dist_peer[u] != INF {
-            class_out.push(CLASS_PEER);
-            next_out.push(s.next_peer[u]);
-            ixp_out.push(s.peer_ixp[u]);
-        } else if s.dist_down[u] != INF {
-            class_out.push(CLASS_PROV);
-            next_out.push(s.next_down[u]);
-            ixp_out.push(NO_IXP);
+    // Phase 3: provider routes flow downward. Every link costs one hop,
+    // so an AS without a customer or peer route takes the shortest
+    // selected route among its providers, lowest provider id on ties.
+    // Visiting providers first settles each AS in one pass.
+    for &c in ft.down_order() {
+        let c = c as usize;
+        let (len, class, next, ixp) = if s.dist_cust[c] != INF {
+            let next = if c == dst { NO_NEXT } else { s.next_cust[c] };
+            (s.dist_cust[c], CLASS_CUST, next, NO_IXP)
+        } else if s.dist_peer[c] != INF {
+            (s.dist_peer[c], CLASS_PEER, s.next_peer[c], s.peer_ixp[c])
         } else {
-            class_out.push(CLASS_NONE);
-            next_out.push(NO_NEXT);
-            ixp_out.push(NO_IXP);
+            let mut best = (INF, NO_NEXT);
+            for &u in ft.providers_of(c) {
+                best = best.min((s.sel_len[u as usize], u));
+            }
+            match best {
+                (INF, _) => (INF, CLASS_NONE, NO_NEXT, NO_IXP),
+                (len, u) => (len + 1, CLASS_PROV, u, NO_IXP),
+            }
+        };
+        s.sel_len[c] = len;
+        class_row[c] = class;
+        next_row[c] = next;
+        ixp_row[c] = ixp;
+    }
+}
+
+/// A contiguous run of destinations and the matching rows of the three
+/// output arrays: one worker's share of the table.
+struct RowSlice<'a> {
+    dests: &'a [AsId],
+    class: &'a mut [u8],
+    next: &'a mut [u32],
+    ixp: &'a mut [u32],
+}
+
+impl RowSlice<'_> {
+    fn fill(self, ft: &FrozenTopology, s: &mut Scratch) {
+        let n = ft.as_count();
+        for (k, &dst) in self.dests.iter().enumerate() {
+            let row = k * n..(k + 1) * n;
+            compute_row(
+                ft,
+                dst,
+                s,
+                &mut self.class[row.clone()],
+                &mut self.next[row.clone()],
+                &mut self.ixp[row],
+            );
         }
     }
 }
 
-/// The three packed row blocks a worker returns for its destination slice.
-type RowBlock = (Vec<u8>, Vec<u32>, Vec<u32>);
-
-fn compute_block(ft: &FrozenTopology, dests: &[AsId]) -> RowBlock {
-    let n = ft.as_count();
-    let mut class = Vec::with_capacity(dests.len() * n);
-    let mut next = Vec::with_capacity(dests.len() * n);
-    let mut ixp = Vec::with_capacity(dests.len() * n);
-    let mut scratch = Scratch::new(n);
-    for &dst in dests {
-        compute_rows(ft, dst, &mut scratch, &mut class, &mut next, &mut ixp);
-    }
-    (class, next, ixp)
+/// Fill `slices`: slice 0 on the calling thread and slice `k` on scoped
+/// worker `humnet-exp-route-<k>`. A slice whose worker cannot be spawned
+/// is filled inline instead, and a worker panic is re-raised on the
+/// caller with its original payload.
+fn fill_parallel(ft: &FrozenTopology, slices: Vec<RowSlice<'_>>) {
+    // Each slot is taken exactly once, by its worker or, failing that,
+    // by the caller.
+    let slots: Vec<Mutex<Option<RowSlice<'_>>>> =
+        slices.into_iter().map(|s| Mutex::new(Some(s))).collect();
+    let fill = |k: usize| {
+        let slot = slots[k].lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some(slice) = slot {
+            slice.fill(ft, &mut Scratch::new(ft.as_count()));
+        }
+    };
+    thread::scope(|scope| {
+        let handles: Vec<_> = (1..slots.len())
+            .filter_map(|k| {
+                let spawned = thread::Builder::new()
+                    .name(format!("humnet-exp-route-{k}"))
+                    .spawn_scoped(scope, move || fill(k));
+                if spawned.is_err() {
+                    fill(k);
+                }
+                spawned.ok()
+            })
+            .collect();
+        fill(0);
+        for h in handles {
+            if let Err(payload) = h.join() {
+                panic::resume_unwind(payload);
+            }
+        }
+    });
 }
 
 /// Policy routes for a topology, covering all destinations
@@ -269,7 +301,7 @@ fn compute_block(ft: &FrozenTopology, dests: &[AsId]) -> RowBlock {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingTable {
     n: usize,
-    /// Computed destinations, sorted ascending; row order of the blocks.
+    /// Computed destinations, sorted ascending; row order of the arrays.
     dests: Vec<AsId>,
     /// `dest_slot[dst]` = row index of `dst`, or `u32::MAX` if uncomputed.
     dest_slot: Vec<u32>,
@@ -286,11 +318,11 @@ impl RoutingTable {
         Self::compute_parallel(topology, 1)
     }
 
-    /// [`RoutingTable::compute`] with destinations fanned across `workers`
-    /// pooled threads. The result is byte-identical to the serial one.
+    /// [`RoutingTable::compute`] with destinations split across `workers`
+    /// threads. The result is byte-identical to the serial one.
     pub fn compute_parallel(topology: &AsTopology, workers: usize) -> Result<Self> {
         let dests: Vec<AsId> = (0..topology.as_count()).collect();
-        Self::compute_frozen(&Arc::new(topology.freeze()), &dests, workers)
+        Self::compute_frozen(&topology.freeze(), &dests, workers)
     }
 
     /// Compute routes *toward the given destinations only* — the
@@ -298,31 +330,27 @@ impl RoutingTable {
     /// all-pairs materialization is pointless. Destinations may be
     /// unsorted and contain duplicates; rows are stored in sorted order.
     pub fn compute_for_destinations(topology: &AsTopology, dests: &[AsId]) -> Result<Self> {
-        Self::compute_frozen(&Arc::new(topology.freeze()), dests, 1)
+        Self::compute_frozen(&topology.freeze(), dests, 1)
     }
 
-    /// [`RoutingTable::compute_for_destinations`] across `workers` pooled
+    /// [`RoutingTable::compute_for_destinations`] across `workers`
     /// threads; byte-identical to the serial result.
     pub fn compute_for_destinations_parallel(
         topology: &AsTopology,
         dests: &[AsId],
         workers: usize,
     ) -> Result<Self> {
-        Self::compute_frozen(&Arc::new(topology.freeze()), dests, workers)
+        Self::compute_frozen(&topology.freeze(), dests, workers)
     }
 
     /// The general entry point: compute routes toward `dests` on an
-    /// already-frozen topology, splitting the (sorted, deduplicated)
-    /// destination list into `workers` contiguous slices executed on the
-    /// shared worker pool. Blocks are reassembled in slice order, so the
-    /// table is byte-identical for every `workers` value. Freezing once
-    /// and calling this repeatedly amortizes the CSR build across
+    /// already-frozen topology. The three output arrays are allocated
+    /// once and the (sorted, deduplicated) destination list is split into
+    /// `workers` contiguous slices, each filling its own rows in place, so
+    /// the table is byte-identical for every `workers` value. Freezing
+    /// once and calling this repeatedly amortizes the CSR build across
     /// samples.
-    pub fn compute_frozen(
-        ft: &Arc<FrozenTopology>,
-        dests: &[AsId],
-        workers: usize,
-    ) -> Result<Self> {
+    pub fn compute_frozen(ft: &FrozenTopology, dests: &[AsId], workers: usize) -> Result<Self> {
         let n = ft.as_count();
         if !ft.is_hierarchy_acyclic() {
             return Err(IxpError::InconsistentRelationship(
@@ -336,39 +364,32 @@ impl RoutingTable {
             return Err(IxpError::InvalidAs(bad));
         }
         let rows = dests.len();
+        let mut class = vec![CLASS_NONE; rows * n];
+        let mut next = vec![0u32; rows * n];
+        let mut peer_ixp = vec![0u32; rows * n];
         let workers = workers.max(1).min(rows.max(1));
-        let (class, next, peer_ixp) = if workers <= 1 {
-            compute_block(ft, &dests)
-        } else {
-            // Balanced contiguous slices: the first `extra` chunks carry
-            // one more destination. Slice boundaries depend only on
-            // (rows, workers), never on timing.
-            let base = rows / workers;
-            let extra = rows % workers;
-            let mut handles = Vec::with_capacity(workers);
-            let mut start = 0usize;
-            for i in 0..workers {
-                let len = base + usize::from(i < extra);
-                let chunk = dests[start..start + len].to_vec();
-                start += len;
-                let ft = Arc::clone(ft);
-                handles.push(pool_execute(move || compute_block(&ft, &chunk)));
-            }
-            let mut class = Vec::with_capacity(rows * n);
-            let mut next = Vec::with_capacity(rows * n);
-            let mut ixp = Vec::with_capacity(rows * n);
-            for h in handles {
-                match h.join() {
-                    Ok((c, x, i)) => {
-                        class.extend_from_slice(&c);
-                        next.extend_from_slice(&x);
-                        ixp.extend_from_slice(&i);
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            (class, next, ixp)
-        };
+        // Balanced contiguous slices: the first `extra` carry one more
+        // destination. Boundaries depend only on (rows, workers), never on
+        // timing.
+        let (base, extra) = (rows / workers, rows % workers);
+        let mut slices = Vec::with_capacity(workers);
+        let (mut d, mut c, mut x, mut i) =
+            (&dests[..], &mut class[..], &mut next[..], &mut peer_ixp[..]);
+        for k in 0..workers {
+            let len = base + usize::from(k < extra);
+            let (d0, d1) = d.split_at(len);
+            let (c0, c1) = std::mem::take(&mut c).split_at_mut(len * n);
+            let (x0, x1) = std::mem::take(&mut x).split_at_mut(len * n);
+            let (i0, i1) = std::mem::take(&mut i).split_at_mut(len * n);
+            slices.push(RowSlice {
+                dests: d0,
+                class: c0,
+                next: x0,
+                ixp: i0,
+            });
+            (d, c, x, i) = (d1, c1, x1, i1);
+        }
+        fill_parallel(ft, slices);
         let mut dest_slot = vec![NO_SLOT; n];
         for (row, &d) in dests.iter().enumerate() {
             dest_slot[d] = row as u32;
@@ -383,38 +404,16 @@ impl RoutingTable {
         })
     }
 
-    /// Resolve a single route without materializing a table: one
-    /// destination propagation on the frozen topology, path reconstructed
-    /// and discarded. Use this for ad-hoc queries; for many sources
-    /// sharing destinations, batch with
+    /// Resolve a single route without keeping a table: one destination
+    /// propagation on the frozen topology, path reconstructed and the row
+    /// discarded. Use this for ad-hoc queries; for many sources sharing
+    /// destinations, batch with
     /// [`RoutingTable::compute_for_destinations`] instead.
     pub fn route_on_demand(ft: &FrozenTopology, src: AsId, dst: AsId) -> Result<Route> {
-        let n = ft.as_count();
-        if src >= n {
+        if src >= ft.as_count() {
             return Err(IxpError::InvalidAs(src));
         }
-        if dst >= n {
-            return Err(IxpError::InvalidAs(dst));
-        }
-        if !ft.is_hierarchy_acyclic() {
-            return Err(IxpError::InconsistentRelationship(
-                "provider hierarchy contains a cycle",
-            ));
-        }
-        let (class, next, ixp) = compute_block(ft, &[dst]);
-        let table = RoutingTable {
-            n,
-            dests: vec![dst],
-            dest_slot: {
-                let mut s = vec![NO_SLOT; n];
-                s[dst] = 0;
-                s
-            },
-            class,
-            next,
-            peer_ixp: ixp,
-        };
-        table.route(src, dst)
+        Self::compute_frozen(ft, &[dst], 1)?.route(src, dst)
     }
 
     /// Number of ASes covered.
@@ -432,8 +431,10 @@ impl RoutingTable {
         dst < self.n && self.dest_slot[dst] != NO_SLOT
     }
 
-    /// FNV-1a digest over the packed route arrays — a cheap fingerprint
-    /// for byte-identity assertions across worker counts.
+    /// FNV-1a digest over the packed route arrays — a compact fingerprint
+    /// of the table for reports and cross-machine comparison. To check two
+    /// tables against each other, compare them with `==`, which is exact
+    /// and cheaper.
     pub fn digest(&self) -> u64 {
         let mut h = 0xcbf29ce484222325u64;
         let mut eat = |b: u8| {
@@ -531,11 +532,14 @@ impl RoutingTable {
 }
 
 pub mod reference {
-    //! The original array-of-structs routing implementation, retained
-    //! verbatim as the differential-testing oracle for the SoA engine and
-    //! as the baseline of the `bench_substrates` scaling benches. Route
-    //! selection is identical by construction; only the storage layout
-    //! and compute strategy differ.
+    //! The original array-of-structs routing implementation, retained as
+    //! the differential-testing oracle for the SoA engine and as the
+    //! baseline of the `bench_substrates` scaling benches. Its
+    //! per-destination propagation (BFS, full peer scan, heap-driven
+    //! provider phase) is the seed code verbatim; only a sampled
+    //! constructor was added so large topologies can be checked row by
+    //! row. Route selection is identical by construction; only the storage
+    //! layout and compute strategy differ.
 
     use super::{Route, RouteKind, INF};
     use crate::topology::{AsId, AsTopology, IxpId};
@@ -576,26 +580,37 @@ pub mod reference {
         next_down: Vec<Option<AsId>>,
     }
 
-    /// All-pairs policy routes, one boxed table of seven `Vec`s per
+    /// Policy routes, one boxed table of seven `Vec`s per computed
     /// destination.
     #[derive(Debug, Clone)]
     pub struct ReferenceTable {
         n: usize,
-        tables: Vec<DestTable>,
+        tables: Vec<Option<DestTable>>,
     }
 
     impl ReferenceTable {
         /// Compute routes for every destination.
         pub fn compute(topology: &AsTopology) -> Result<Self> {
+            let all: Vec<AsId> = (0..topology.as_count()).collect();
+            Self::compute_for_destinations(topology, &all)
+        }
+
+        /// Compute routes toward `dests` only, each exactly as
+        /// [`ReferenceTable::compute`] would; routes toward any other
+        /// destination report [`IxpError::DestinationNotComputed`].
+        pub fn compute_for_destinations(topology: &AsTopology, dests: &[AsId]) -> Result<Self> {
             if !topology.is_hierarchy_acyclic() {
                 return Err(IxpError::InconsistentRelationship(
                     "provider hierarchy contains a cycle",
                 ));
             }
             let n = topology.as_count();
-            let mut tables = Vec::with_capacity(n);
-            for dst in 0..n {
-                tables.push(Self::compute_destination(topology, dst));
+            let mut tables = vec![None; n];
+            for &dst in dests {
+                if dst >= n {
+                    return Err(IxpError::InvalidAs(dst));
+                }
+                tables[dst] = Some(Self::compute_destination(topology, dst));
             }
             Ok(ReferenceTable { n, tables })
         }
@@ -700,7 +715,9 @@ pub mod reference {
                     has_peer_hop: false,
                 });
             }
-            let t = &self.tables[dst];
+            let t = self.tables[dst]
+                .as_ref()
+                .ok_or(IxpError::DestinationNotComputed(dst))?;
             let kind = if t.dist_cust[src] != INF {
                 RouteKind::Customer
             } else if t.dist_peer[src] != INF {
@@ -970,6 +987,43 @@ mod tests {
             assert_eq!(par, serial, "workers = {workers}");
             assert_eq!(par.digest(), serial.digest());
         }
+    }
+
+    #[test]
+    fn worker_panic_reaches_the_caller_with_its_payload() {
+        let (t, _) = diamond();
+        let ft = t.freeze();
+        let n = ft.as_count();
+        let dests = [0, 1, 2, 3];
+        let mut class = vec![CLASS_NONE; 3 * n];
+        let mut next = vec![0u32; 3 * n];
+        let mut ixp = vec![0u32; 3 * n];
+        // Three one-row slices, plus one with no room for its row as slice
+        // 1, so worker 1 panics on the out-of-range row.
+        let mut slices: Vec<RowSlice<'_>> = class
+            .chunks_mut(n)
+            .zip(next.chunks_mut(n).zip(ixp.chunks_mut(n)))
+            .zip(dests.chunks(1))
+            .map(|((class, (next, ixp)), dests)| RowSlice {
+                dests,
+                class,
+                next,
+                ixp,
+            })
+            .collect();
+        slices.insert(
+            1,
+            RowSlice {
+                dests: &dests[3..],
+                class: &mut [],
+                next: &mut [],
+                ixp: &mut [],
+            },
+        );
+        let payload = panic::catch_unwind(panic::AssertUnwindSafe(|| fill_parallel(&ft, slices)))
+            .expect_err("the short slice must panic");
+        let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("out of range"), "payload lost: {msg:?}");
     }
 
     #[test]

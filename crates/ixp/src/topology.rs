@@ -15,6 +15,8 @@
 
 use crate::{IxpError, Result};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Identifier of an autonomous system (dense index).
 pub type AsId = usize;
@@ -370,29 +372,11 @@ impl AsTopology {
     /// would break valley-free routing. Returns true when the
     /// customer→provider graph is acyclic.
     pub fn is_hierarchy_acyclic(&self) -> bool {
-        // Kahn's algorithm over customer -> provider edges.
-        let n = self.ases.len();
-        let mut indeg = vec![0usize; n];
-        for provs in &self.providers {
-            for &p in provs {
-                indeg[p] += 1;
-            }
-        }
-        let mut queue: Vec<AsId> = (0..n).filter(|&v| indeg[v] == 0).collect();
-        let mut seen = 0;
-        while let Some(u) = queue.pop() {
-            seen += 1;
-            for &p in &self.providers[u] {
-                indeg[p] -= 1;
-                if indeg[p] == 0 {
-                    queue.push(p);
-                }
-            }
-        }
-        seen == n
+        self.freeze().is_hierarchy_acyclic()
     }
 
-    /// Compact the adjacency into the immutable CSR compute form. O(V+E).
+    /// Compact the adjacency into the immutable CSR compute form, with the
+    /// providers-first order of the hierarchy cached alongside. O(V+E).
     pub fn freeze(&self) -> FrozenTopology {
         let n = self.ases.len();
         assert!(n < u32::MAX as usize, "topology too large for u32 indices");
@@ -425,7 +409,7 @@ impl AsTopology {
                 peer_ixp.push(ixp.map_or(NO_IXP, |x| x as u32));
             }
         }
-        FrozenTopology {
+        let mut ft = FrozenTopology {
             n,
             prov_off,
             prov,
@@ -434,7 +418,10 @@ impl AsTopology {
             peer_off,
             peer_nbr,
             peer_ixp,
-        }
+            down_order: Vec::new(),
+        };
+        ft.down_order = ft.providers_first();
+        ft
     }
 
     fn check(&self, id: AsId) -> Result<()> {
@@ -460,6 +447,9 @@ pub struct FrozenTopology {
     peer_nbr: Vec<u32>,
     /// Parallel to `peer_nbr`; [`NO_IXP`] marks private peering.
     peer_ixp: Vec<u32>,
+    /// Providers-first topological order of the hierarchy; shorter than
+    /// `n` exactly when the hierarchy has a cycle.
+    down_order: Vec<u32>,
 }
 
 impl FrozenTopology {
@@ -488,26 +478,41 @@ impl FrozenTopology {
         (&self.peer_nbr[lo..hi], &self.peer_ixp[lo..hi])
     }
 
-    /// Kahn's algorithm over the frozen customer→provider edges; mirrors
-    /// [`AsTopology::is_hierarchy_acyclic`].
+    /// Every AS of an acyclic hierarchy, each after all of its providers:
+    /// the order in which provider routes can be settled in one pass.
+    /// ASes on or below a provider cycle are missing from it.
+    pub fn down_order(&self) -> &[u32] {
+        &self.down_order
+    }
+
+    /// True when the customer→provider graph has no cycle.
     pub fn is_hierarchy_acyclic(&self) -> bool {
-        let n = self.n;
-        let mut indeg = vec![0u32; n];
-        for &p in &self.prov {
-            indeg[p as usize] += 1;
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
-        let mut seen = 0;
-        while let Some(u) = queue.pop() {
-            seen += 1;
-            for &p in self.providers_of(u) {
-                indeg[p as usize] -= 1;
-                if indeg[p as usize] == 0 {
-                    queue.push(p as usize);
+        self.down_order.len() == self.n
+    }
+
+    /// Kahn's algorithm from the provider-free roots down customer edges,
+    /// always releasing the lowest ready id. A hierarchy already numbered
+    /// providers-first, as grown topologies are, keeps its id order, so
+    /// the routing pass over it walks every array sequentially.
+    fn providers_first(&self) -> Vec<u32> {
+        let mut pending: Vec<u32> = (0..self.n)
+            .map(|c| self.prov_off[c + 1] - self.prov_off[c])
+            .collect();
+        let mut ready: BinaryHeap<Reverse<u32>> = (0..self.n as u32)
+            .filter(|&c| pending[c as usize] == 0)
+            .map(Reverse)
+            .collect();
+        let mut order = Vec::with_capacity(self.n);
+        while let Some(Reverse(u)) = ready.pop() {
+            order.push(u);
+            for &c in self.customers_of(u as usize) {
+                pending[c as usize] -= 1;
+                if pending[c as usize] == 0 {
+                    ready.push(Reverse(c));
                 }
             }
         }
-        seen == n
+        order
     }
 }
 
@@ -637,6 +642,59 @@ mod tests {
         assert!(!c.is_hierarchy_acyclic());
         assert!(t.freeze().is_hierarchy_acyclic());
         assert!(!c.freeze().is_hierarchy_acyclic());
+    }
+
+    /// Position of every AS in `down_order`, `usize::MAX` when absent.
+    fn positions(f: &FrozenTopology) -> Vec<usize> {
+        let mut pos = vec![usize::MAX; f.as_count()];
+        for (i, &u) in f.down_order().iter().enumerate() {
+            pos[u as usize] = i;
+        }
+        pos
+    }
+
+    #[test]
+    fn down_order_puts_providers_before_customers() {
+        let mut t = small();
+        let reseller = t.add_as("Reseller", AsKind::Access, &region(), 2.0);
+        let loner = t.add_as("Loner", AsKind::Access, &region(), 1.0);
+        t.add_provider(reseller, 1).unwrap();
+        t.add_provider(reseller, 2).unwrap();
+        t.add_peering(loner, 2, None).unwrap();
+        let f = t.freeze();
+        assert_eq!(f.down_order().len(), t.as_count());
+        let pos = positions(&f);
+        for c in 0..t.as_count() {
+            for &p in f.providers_of(c) {
+                assert!(pos[p as usize] < pos[c], "provider {p} after customer {c}");
+            }
+        }
+        let mut sorted = f.down_order().to_vec();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..t.as_count() as u32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn down_order_is_short_exactly_when_cyclic() {
+        // A chain 0 <- 1 <- 2 <- 3 (each buys from the one before) and a
+        // pair 4 <- 5; then 0 buying from 2 closes the cycle 0, 1, 2 and
+        // strands 3 below it, leaving only the pair orderable.
+        let mut c = AsTopology::new();
+        let ids: Vec<AsId> = (0..6)
+            .map(|i| c.add_as(&format!("as{i}"), AsKind::Transit, &region(), 1.0))
+            .collect();
+        c.add_provider(ids[1], ids[0]).unwrap();
+        c.add_provider(ids[2], ids[1]).unwrap();
+        c.add_provider(ids[3], ids[2]).unwrap();
+        c.add_provider(ids[5], ids[4]).unwrap();
+        let acyclic = c.freeze();
+        assert_eq!(acyclic.down_order().len(), 6);
+        assert!(acyclic.is_hierarchy_acyclic());
+        c.add_provider(ids[0], ids[2]).unwrap();
+        let cyclic = c.freeze();
+        assert_eq!(cyclic.down_order(), &[4, 5]);
+        assert!(!cyclic.is_hierarchy_acyclic());
+        assert!(!c.is_hierarchy_acyclic());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use humnet_graph::{barabasi_albert, betweenness_centrality, pagerank};
 use humnet_ixp::routing::reference::ReferenceTable;
 use humnet_ixp::{synthetic_internet, AsKind, AsTopology, RegionTag, RoutingTable};
 use humnet_stats::{bootstrap_ci, gini, mean, PrefixSampler, Rng};
-use humnet_text::{tokenize, TfIdf};
+use humnet_text::{tokenize, MarkovModel, TfIdf};
 
 fn bench_rng(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate_rng");
@@ -172,6 +172,19 @@ fn bench_text(c: &mut Criterion) {
     let model = TfIdf::fit(&docs).unwrap();
     group.bench_function("tfidf_transform", |b| {
         b.iter(|| black_box(model.transform(&docs[7]).len()))
+    });
+    // One synthetic abstract as the corpus generator writes it: three
+    // sentences of at most 14 words from a topic-trained chain.
+    let mut markov = MarkovModel::new();
+    markov.train_text(
+        "Community networks are built and operated by local residents. \
+         Volunteers maintain wireless infrastructure in rural areas. \
+         We deploy low-cost equipment with community partners. Local operators \
+         sustain the network through shared governance.",
+    );
+    group.bench_function("markov_paragraph", |b| {
+        let mut rng = Rng::new(8);
+        b.iter(|| black_box(markov.generate_paragraph(3, 14, &mut rng)))
     });
     group.finish();
 }

@@ -12,7 +12,7 @@
 //! Experiments **F2** and **F7** are thin wrappers over this auditor.
 
 use crate::Result;
-use humnet_corpus::{Corpus, MethodTag, VenueKind};
+use humnet_corpus::{Corpus, MethodTag, Paper, VenueKind};
 use humnet_survey::detect_positionality;
 use serde::{Deserialize, Serialize};
 
@@ -98,30 +98,34 @@ impl MethodsAuditor {
         if corpus.papers.is_empty() {
             return Err(crate::CoreError::EmptyInput);
         }
+        // The detector lowercases and scans each abstract, so it runs once
+        // per paper; the flags are by position because an audited corpus
+        // need not be validated (its ids need not match positions).
+        let detected: Vec<bool> = corpus
+            .papers
+            .iter()
+            .map(|p| detect_positionality(&p.abstract_text).is_some())
+            .collect();
         let mut venues = Vec::new();
         for kind in VenueKind::ALL {
-            let papers = corpus.papers_in_kind(kind);
+            let papers: Vec<(&Paper, bool)> = corpus
+                .papers
+                .iter()
+                .zip(detected.iter().copied())
+                .filter(|(p, _)| corpus.venues[p.venue].kind == kind)
+                .collect();
             let n = papers.len();
             let rate = |count: usize| if n > 0 { count as f64 / n as f64 } else { 0.0 };
+            let count =
+                |f: fn(&Paper, bool) -> bool| papers.iter().filter(|&&(p, d)| f(p, d)).count();
             venues.push(VenueAudit {
                 kind,
                 papers: n,
-                partnership_rate: rate(
-                    papers.iter().filter(|p| p.documents_partnerships).count(),
-                ),
-                conversation_rate: rate(
-                    papers.iter().filter(|p| p.documents_conversations).count(),
-                ),
-                positionality_rate: rate(
-                    papers.iter().filter(|p| p.has_positionality()).count(),
-                ),
-                detected_positionality_rate: rate(
-                    papers
-                        .iter()
-                        .filter(|p| detect_positionality(&p.abstract_text).is_some())
-                        .count(),
-                ),
-                human_method_rate: rate(papers.iter().filter(|p| p.is_human_centered()).count()),
+                partnership_rate: rate(count(|p, _| p.documents_partnerships)),
+                conversation_rate: rate(count(|p, _| p.documents_conversations)),
+                positionality_rate: rate(count(|p, _| p.has_positionality())),
+                detected_positionality_rate: rate(count(|_, detected| detected)),
+                human_method_rate: rate(count(|p, _| p.is_human_centered())),
             });
         }
         let full = corpus
@@ -133,28 +137,26 @@ impl MethodsAuditor {
                     && p.methods.contains(&MethodTag::Positionality)
             })
             .count();
-        let tagged: Vec<_> = corpus.papers.iter().filter(|p| p.has_positionality()).collect();
-        let detected: Vec<_> = corpus
+        let tagged = corpus.papers.iter().filter(|p| p.has_positionality()).count();
+        let detected_count = detected.iter().filter(|&&d| d).count();
+        let true_positives = corpus
             .papers
             .iter()
-            .filter(|p| detect_positionality(&p.abstract_text).is_some())
-            .collect();
-        let true_positives = tagged
-            .iter()
-            .filter(|p| detect_positionality(&p.abstract_text).is_some())
+            .zip(&detected)
+            .filter(|&(p, &d)| d && p.has_positionality())
             .count();
         Ok(AuditReport {
             venues,
             full_adoption_rate: full as f64 / corpus.papers.len() as f64,
-            detector_recall: if tagged.is_empty() {
+            detector_recall: if tagged == 0 {
                 1.0
             } else {
-                true_positives as f64 / tagged.len() as f64
+                true_positives as f64 / tagged as f64
             },
-            detector_precision: if detected.is_empty() {
+            detector_precision: if detected_count == 0 {
                 1.0
             } else {
-                true_positives as f64 / detected.len() as f64
+                true_positives as f64 / detected_count as f64
             },
         })
     }

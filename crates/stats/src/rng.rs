@@ -286,13 +286,22 @@ impl Rng {
 /// Holds the weights and their prefix sums. [`PrefixSampler::sample`]
 /// draws exactly the index [`Rng::choose_weighted`] would draw from the
 /// same weights and generator state: it consumes one `next_f64`, sums the
-/// positive weights in the same sequential order (so the total and every
-/// partial sum are bit-identical), and returns the first positive-weight
-/// index whose partial sum reaches the target. Non-positive weights are
-/// never drawn. Prefix sums are refreshed lazily from the lowest index
-/// changed since the last draw, so [`PrefixSampler::set`] at index `i`
-/// costs O(n − i) at the next draw, [`PrefixSampler::push`] costs O(1),
-/// and a draw on unchanged weights is a binary search.
+/// positive weights in the same sequential order (so every partial sum it
+/// compares is bit-identical to the scan's), and returns the first
+/// positive-weight index whose partial sum reaches the target.
+/// Non-positive weights are never drawn.
+///
+/// Prefix sums are refreshed lazily. [`PrefixSampler::set`] and
+/// [`PrefixSampler::push`] mark them stale from the lowest changed index
+/// and add the change to a running estimate of the total, so both are
+/// O(1). A draw brackets the exact total between certified bounds, scales
+/// its one `next_f64` by both ends, and extends the sums only until they
+/// pass the upper target. The target and the index it selects both grow
+/// with the total, so when both ends select the same index the exact
+/// total does too. Otherwise (the band is a few ulps of the total wide,
+/// so this is rare) the draw finishes the refresh and uses the exact
+/// total. A draw thus refreshes from the lowest changed index to about
+/// the drawn one, and a draw on unchanged weights is a binary search.
 #[derive(Debug, Clone, Default)]
 pub struct PrefixSampler {
     weights: Vec<f64>,
@@ -302,6 +311,25 @@ pub struct PrefixSampler {
     /// Lowest index whose prefix sum is stale; the length when none is,
     /// and never more.
     dirty: usize,
+    /// The exact sequential total of the positive weights and their count
+    /// at the last full refresh; `None` before the first.
+    base: Option<(f64, usize)>,
+    /// Float running sum of the changes to positive parts since then:
+    /// `+ new − old` per `set`, `+ new` per `push`.
+    delta: f64,
+    /// Float running sum of the absolute values of those terms.
+    delta_abs: f64,
+    /// Number of terms summed into `delta`.
+    delta_terms: usize,
+}
+
+/// The weight's contribution to the total: itself if positive, else 0.
+fn positive_part(w: f64) -> f64 {
+    if w > 0.0 {
+        w
+    } else {
+        0.0
+    }
 }
 
 impl PrefixSampler {
@@ -316,6 +344,7 @@ impl PrefixSampler {
         self.weights.extend(weights);
         self.prefix.clear();
         self.dirty = 0;
+        self.rebase(None);
     }
 
     /// Number of weights.
@@ -330,48 +359,151 @@ impl PrefixSampler {
 
     /// Change the weight at index `i`. Panics if `i` is out of range.
     pub fn set(&mut self, i: usize, w: f64) {
+        let (old, new) = (positive_part(self.weights[i]), positive_part(w));
         self.weights[i] = w;
-        self.dirty = self.dirty.min(i);
+        // The sums and the total see only positive parts.
+        if old != new {
+            self.dirty = self.dirty.min(i);
+            self.delta = self.delta + new - old;
+            self.delta_abs = self.delta_abs + new + old;
+            self.delta_terms += 2;
+        }
     }
 
     /// Append a weight. Its sum is stale by construction: `dirty` never
     /// exceeds the old length.
     pub fn push(&mut self, w: f64) {
         self.weights.push(w);
+        let new = positive_part(w);
+        if new > 0.0 {
+            self.delta += new;
+            self.delta_abs += new;
+            self.delta_terms += 1;
+        }
     }
 
     /// Draw an index with probability proportional to its weight, exactly
     /// as [`Rng::choose_weighted`] would. Panics, with the same message, if
     /// the positive weights do not sum to a positive finite total.
     pub fn sample(&mut self, rng: &mut Rng) -> usize {
-        self.refresh();
+        if self.dirty < self.weights.len() {
+            if let Some((lo, hi)) = self.total_bounds() {
+                let x = rng.next_f64();
+                // Rounding is monotone, so `x · lo ≤ x · total ≤ x · hi`
+                // holds for the float products too.
+                let (lo, hi) = (x * lo, x * hi);
+                self.refresh(Some(hi));
+                if let Some(pick) = self.first_reaching(hi) {
+                    // The low target picks the same index when no earlier
+                    // sum reaches it.
+                    if pick == 0 || self.prefix[pick - 1] < lo {
+                        return pick;
+                    }
+                }
+                self.refresh(None);
+                return self.draw(x);
+            }
+            self.refresh(None);
+        }
         let total = self.prefix.last().copied().unwrap_or(0.0);
         assert!(total > 0.0 && total.is_finite(), "{WEIGHTED_TOTAL_MSG}");
-        let target = rng.next_f64() * total;
-        // Prefix sums never decrease, so this is the first index whose
-        // partial sum reaches the target.
-        let first = self.prefix.partition_point(|&p| p < target);
-        // Only a zero target can land on a non-positive weight (at index 0,
-        // whose sum is then 0); like the scan, move on to the first positive
-        // weight. One exists: the positive total is some weight's sum.
-        let skip = self.weights[first..].iter().position(|&w| w > 0.0);
-        first + skip.expect("a positive weight reaches the total")
+        self.draw(rng.next_f64())
     }
 
-    fn refresh(&mut self) {
+    /// Certified bounds `(lo, hi)` on the total [`Rng::choose_weighted`]
+    /// would compute from the current weights, or `None` when no full
+    /// refresh has happened yet or the bounds are not positive and finite
+    /// (the exact path then decides, and panics if it must).
+    ///
+    /// Let `u = 2⁻⁵³` and `γₘ = m·u / (1 − m·u)`. Write `T₀` for the exact
+    /// sum of the `n₀` positive parts at the last full refresh and `S₀` for
+    /// its sequential float sum; `D*` and `A*` for the exact sums of the `k`
+    /// change terms and of their absolute values, `D` and `A` for their
+    /// float running sums; and `S` for the sequential float sum of the `n`
+    /// current positive parts, whose exact sum is `T = T₀ + D*`. Recursive
+    /// summation (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    /// §4.2) gives `|S₀ − T₀| ≤ γₙ₀·T₀`, `|D − D*| ≤ γₖ·A*`,
+    /// `A* ≤ A / (1 − γₖ)` and `|S − T| ≤ γₙ·T`, and `T ≤ T₀ + A*` as every
+    /// term is non-negative. With `γ = γ_N` for `N = n₀ + n + k + 2`:
+    ///
+    /// `|S − (S₀ + D)| ≤ 2γ·(S₀ + A) / (1 − γ)`.
+    ///
+    /// Rounding `S₀ + D`, the radius and the two ends adds a few more
+    /// `u·(S₀ + A)`; as `γ ≥ 2u`, a radius of `4γ·(S₀ + A)` covers it all.
+    /// Requiring `N·u ≤ 0.1` makes `γ ≤ N·u / 0.9`, so the radius used,
+    /// `5N·u·(S₀ + A)`, is at least that. Capping `hi` at half the largest
+    /// float keeps every partial sum finite, so the model holds throughout.
+    fn total_bounds(&self) -> Option<(f64, f64)> {
+        let (base, base_len) = self.base?;
+        let nu =
+            (base_len + self.weights.len() + self.delta_terms + 2) as f64 * (f64::EPSILON / 2.0);
+        if nu > 0.1 {
+            return None;
+        }
+        let estimate = base + self.delta;
+        let radius = 5.0 * nu * (base + self.delta_abs);
+        let (lo, hi) = (estimate - radius, estimate + radius);
+        (lo > 0.0 && hi <= f64::MAX / 2.0).then_some((lo, hi))
+    }
+
+    /// The index the scan picks for the uniform draw `x`, scaled by the
+    /// exact total; the prefix sums must be fully refreshed.
+    fn draw(&self, x: f64) -> usize {
+        let total = self.prefix.last().copied().unwrap_or(0.0);
+        self.first_reaching(x * total)
+            .expect("a positive weight reaches the total")
+    }
+
+    /// The first positive-weight index whose prefix sum reaches `target`,
+    /// or `None` when no refreshed prefix sum does.
+    fn first_reaching(&self, target: f64) -> Option<usize> {
+        let valid = &self.prefix[..self.dirty];
+        // Prefix sums never decrease, so this is the first index whose
+        // partial sum reaches the target.
+        let first = valid.partition_point(|&p| p < target);
+        if first == valid.len() {
+            return None;
+        }
+        // Only a zero target can land on a non-positive weight (at index 0,
+        // whose sum is then 0); like the scan, move on to the first positive
+        // weight.
+        let skip = self.weights[first..].iter().position(|&w| w > 0.0)?;
+        Some(first + skip)
+    }
+
+    /// Extend the valid prefix sums until one reaches `until`, or to the
+    /// end when `until` is `None` or none does. Reaching the end rebases
+    /// the total estimate on the now exact total.
+    fn refresh(&mut self, until: Option<f64>) {
         let (from, n) = (self.dirty, self.weights.len());
-        if from >= n {
+        let reached = |acc: f64| until.is_some_and(|t| acc >= t);
+        let mut acc = if from == 0 { 0.0 } else { self.prefix[from - 1] };
+        if from > 0 && reached(acc) {
             return;
         }
         self.prefix.resize(n, 0.0);
-        let mut acc = if from == 0 { 0.0 } else { self.prefix[from - 1] };
-        for (p, &w) in self.prefix[from..].iter_mut().zip(&self.weights[from..]) {
+        self.dirty = n;
+        let stale = self.prefix[from..].iter_mut().zip(&self.weights[from..]);
+        for (i, (p, &w)) in (from..).zip(stale) {
             if w > 0.0 {
                 acc += w;
             }
             *p = acc;
+            if reached(acc) {
+                self.dirty = i + 1;
+                break;
+            }
         }
-        self.dirty = n;
+        if self.dirty == n {
+            self.rebase(Some((acc, n)));
+        }
+    }
+
+    fn rebase(&mut self, base: Option<(f64, usize)>) {
+        self.base = base;
+        self.delta = 0.0;
+        self.delta_abs = 0.0;
+        self.delta_terms = 0;
     }
 }
 
@@ -532,8 +664,8 @@ mod tests {
         assert!((ratio - 3.0).abs() < 0.2, "ratio {ratio}");
     }
 
-    #[test]
-    fn prefix_sampler_matches_the_scan_on_exact_boundary_draws() {
+    /// Generators whose next `next_f64` is exactly 0 and exactly 0.5.
+    fn boundary_rngs() -> (Rng, Rng) {
         // `s[1] == 0` makes the next output 0, so the target is exactly 0.
         let zero = Rng { s: [1, 0, 0, 0], gauss_spare: None };
         // The next output is 2^63 (a draw of exactly 0.5): 5 · 205 ≡ 1
@@ -541,19 +673,78 @@ mod tests {
         let half = Rng { s: [1, 205 << 56, 0, 0], gauss_spare: None };
         assert_eq!(zero.clone().next_f64(), 0.0);
         assert_eq!(half.clone().next_f64(), 0.5);
-        let cases: [(&Rng, &[f64]); 3] = [
+        (zero, half)
+    }
+
+    /// A sampler over `weights` whose next draw takes the lazy path: it was
+    /// fully refreshed with a larger weight at index 0, which was then set
+    /// back, so every prefix sum is stale and only the estimate is known.
+    fn lazy_sampler(weights: &[f64]) -> PrefixSampler {
+        let mut sampler = PrefixSampler::new();
+        sampler.reset(weights.iter().copied());
+        sampler.set(0, weights[0].max(0.0) + 4.0);
+        sampler.sample(&mut Rng::new(1));
+        sampler.set(0, weights[0]);
+        assert_eq!(sampler.dirty, 0);
+        assert!(sampler.total_bounds().is_some(), "{weights:?}");
+        sampler
+    }
+
+    #[test]
+    fn prefix_sampler_matches_the_scan_on_exact_boundary_draws() {
+        let (zero, half) = boundary_rngs();
+        let cases: [(&Rng, &[f64]); 4] = [
             // A zero target skips the leading non-positive weights.
             (&zero, &[0.0, -2.0, 0.0, 3.0, 1.0]),
             // A target equal to a partial sum picks the index reaching it.
             (&half, &[1.0, 1.0]),
             (&half, &[0.0, 1.0, 0.0, 0.5, 0.5]),
+            (&half, &[1.0, 1.0, 1.0, 1.0]),
         ];
         for (rng, weights) in cases {
+            let want = rng.clone().choose_weighted(weights);
+            // Freshly reset: the exact path.
             let mut sampler = PrefixSampler::new();
             sampler.reset(weights.iter().copied());
-            let want = rng.clone().choose_weighted(weights);
+            assert_eq!(sampler.sample(&mut rng.clone()), want, "{weights:?}");
+            // After a `set`: the lazy path.
+            let mut sampler = lazy_sampler(weights);
             assert_eq!(sampler.sample(&mut rng.clone()), want, "{weights:?}");
         }
+    }
+
+    #[test]
+    fn prefix_sampler_falls_back_when_the_band_straddles_a_boundary() {
+        // The exact target 0.5 · 4 = 2 is index 1's partial sum. The
+        // estimate's band puts the low target just below it (index 1) and
+        // the high one just above (index 2), so only the exact total can
+        // decide, and the draw refreshes every sum to learn it.
+        let (_, half) = boundary_rngs();
+        let mut sampler = lazy_sampler(&[1.0, 1.0, 1.0, 1.0]);
+        assert_eq!(sampler.sample(&mut half.clone()), 1);
+        assert_eq!(sampler.dirty, 4);
+    }
+
+    #[test]
+    fn prefix_sampler_refreshes_only_up_to_the_draw() {
+        let mut weights = vec![1.0; 1000];
+        let mut sampler = lazy_sampler(&weights);
+        let mut rng = Rng::new(9);
+        let mut refreshed = 0;
+        for _ in 0..50 {
+            let want = rng.clone().choose_weighted(&weights);
+            let pick = sampler.sample(&mut rng);
+            assert_eq!(pick, want);
+            // The sums stop at the drawn index unless the fallback ran.
+            if sampler.dirty != weights.len() {
+                assert_eq!(sampler.dirty, pick + 1);
+            }
+            refreshed += sampler.dirty;
+            weights[0] = 3.0 - weights[0];
+            sampler.set(0, weights[0]);
+        }
+        // Uniform picks: about half the sums per draw, not all of them.
+        assert!(refreshed < 50 * weights.len() * 3 / 4, "refreshed {refreshed}");
     }
 
     #[test]
@@ -561,6 +752,19 @@ mod tests {
     fn prefix_sampler_rejects_all_zero_weights() {
         let mut sampler = PrefixSampler::new();
         sampler.reset([0.0, 0.0, 0.0]);
+        sampler.sample(&mut Rng::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "choose_weighted() requires positive finite total weight")]
+    fn prefix_sampler_rejects_weights_set_to_zero() {
+        // The estimate 3 − 1 − 2 is exactly 0: the band is not positive, so
+        // the exact path decides and panics as the scan would.
+        let mut sampler = PrefixSampler::new();
+        sampler.reset([1.0, 2.0, 0.0]);
+        sampler.sample(&mut Rng::new(1));
+        sampler.set(0, 0.0);
+        sampler.set(1, -1.0);
         sampler.sample(&mut Rng::new(1));
     }
 

@@ -102,7 +102,7 @@ impl Failure {
         match self {
             Failure::Usage(msg) => {
                 eprintln!("{msg}");
-                eprintln!("{USAGE}");
+                eprintln!("{}", usage());
             }
             Failure::Fatal(msg) => eprintln!("{msg}"),
         }
@@ -346,7 +346,7 @@ fn parse_run_args(args: impl Iterator<Item = String>) -> Result<Option<RunCli>, 
         };
         match arg.as_str() {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return Ok(None);
             }
             "--shards" => {
@@ -537,7 +537,7 @@ fn parse_dispatch_args(args: impl Iterator<Item = String>) -> Result<Option<Disp
         };
         match arg.as_str() {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return Ok(None);
             }
             "--procs" => {
@@ -681,7 +681,7 @@ fn cmd_worker(args: Vec<String>) -> CmdResult {
         };
         match arg.as_str() {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return Ok(0);
             }
             "--addr" => cfg.addr = value("--addr")?,
@@ -750,7 +750,7 @@ fn cmd_worker(args: Vec<String>) -> CmdResult {
 
 fn cmd_list(args: Vec<String>) -> CmdResult {
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
+        println!("{}", usage());
         return Ok(0);
     }
     if let Some(stray) = args.first() {
@@ -781,7 +781,7 @@ fn cmd_merge_metrics(args: Vec<String>) -> CmdResult {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return Ok(0);
             }
             "--out" => match args.next() {
@@ -833,7 +833,7 @@ fn cmd_replay(args: Vec<String>) -> CmdResult {
     for arg in &args {
         match arg.as_str() {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return Ok(0);
             }
             flag if flag.starts_with('-') => {
@@ -883,7 +883,7 @@ fn cmd_serve(args: Vec<String>) -> CmdResult {
         };
         match arg.as_str() {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return Ok(0);
             }
             "--addr" => cfg.addr = value("--addr")?,
@@ -986,7 +986,7 @@ fn cmd_query(args: Vec<String>) -> CmdResult {
         };
         match arg.as_str() {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return Ok(0);
             }
             "--addr" => addr = value("--addr")?,
@@ -1111,7 +1111,7 @@ fn cmd_ramp(args: Vec<String>) -> CmdResult {
         };
         match arg.as_str() {
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return Ok(0);
             }
             "--addr" => target_addr = Some(value("--addr")?),
@@ -1404,6 +1404,12 @@ fn write_file(path: &str, contents: &str, what: &str) -> Result<(), Failure> {
         .map_err(|e| Failure::Fatal(format!("failed to write {what} to {path}: {e}")))
 }
 
+/// The help text, with the IDs line generated from the registry.
+fn usage() -> String {
+    let ids: Vec<&str> = ExperimentId::ALL.iter().map(|id| id.code()).collect();
+    USAGE.replace("{IDS}", &ids.join(" "))
+}
+
 const USAGE: &str = "\
 usage: experiments <COMMAND> [ARGS]
        experiments [OPTIONS] [ID...]        (alias for `run`)
@@ -1438,7 +1444,7 @@ Commands:
                                  bisect to the max sustainable RPS, and report
 
 IDs (default: all, in EXPERIMENTS.md order):
-  f1 t1 f2 t2 f3 f4 t3 f5 t4 f6 t5 f7 f8 f9 t6 t7
+  {IDS}
 
 Shared run-config options (accepted by run, dispatch, serve, query and ramp —
 one validation path; each command overlays them on its own defaults):
@@ -1599,4 +1605,19 @@ fn banner(title: &str) {
     println!("\n{}", "=".repeat(72));
     println!("{title}");
     println!("{}\n", "=".repeat(72));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_every_experiment_code() {
+        let text = usage();
+        let mut lines = text.lines();
+        lines.find(|l| l.starts_with("IDs (default: all"));
+        let codes: Vec<&str> = lines.next().unwrap().split_whitespace().collect();
+        let want: Vec<&str> = ExperimentId::ALL.iter().map(|id| id.code()).collect();
+        assert_eq!(codes, want);
+    }
 }

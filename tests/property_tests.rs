@@ -431,13 +431,16 @@ proptest! {
 }
 
 /// Decode a generated code into a weight: a quarter are zero, some are
-/// negative or tiny enough to vanish into a running sum, the rest spread
-/// over a few orders of magnitude with inexact binary fractions.
+/// negative or tiny enough to vanish into a running sum, some large
+/// enough (~10^19) that setting them back to a small weight cancels most
+/// of the total, and the rest spread over a few orders of magnitude with
+/// inexact binary fractions.
 fn weight_of(code: u32) -> f64 {
     match code % 1000 {
         0..=249 => 0.0,
         250..=299 => -1.5,
         300..=349 => 1e-17 * f64::from(code % 1000),
+        350..=369 => 1e16 * f64::from(code % 1000) / 7.3,
         c => f64::from(c) / 7.3 * f64::from(1 + code / 1000 % 4),
     }
 }
@@ -445,7 +448,9 @@ fn weight_of(code: u32) -> f64 {
 // The incremental sampler is an exact replacement for the rebuild-per-draw
 // oracle: after any interleaving of `set`, `push` and draws it picks the
 // same index as `Rng::choose_weighted` over the same weights and leaves the
-// generator in the same state.
+// generator in the same state. Bursts of up to 31 changes between draws
+// exercise the lazy path, whose total is an estimate until it is certified
+// or the draw falls back to the exact total.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -471,32 +476,49 @@ proptest! {
         sampler.reset(weights.iter().copied());
         let mut oracle = Rng::new(seed);
         let mut fast = Rng::new(seed);
-        for op in ops {
-            // Low two bits pick the operation; the rest index and weigh it.
-            let (kind, arg) = (op % 4, op / 4);
-            match kind {
-                0 => {
-                    let i = arg as usize % weights.len();
-                    let w = weight_of(arg / 64);
-                    weights[i] = w;
-                    sampler.set(i, w);
-                }
-                1 => {
-                    let w = weight_of(arg);
-                    weights.push(w);
-                    sampler.push(w);
-                }
-                _ => {
-                    let total: f64 = weights.iter().filter(|w| **w > 0.0).sum();
-                    if total <= 0.0 {
-                        continue;
-                    }
-                    let want = oracle.choose_weighted(&weights);
-                    let got = sampler.sample(&mut fast);
-                    prop_assert_eq!(got, want, "weights {:?}", weights);
-                    prop_assert_eq!(fast.next_u64(), oracle.next_u64());
-                }
+        // One `set` (low bit clear) or `push` (set), to the oracle's
+        // weights and the sampler alike.
+        fn change(weights: &mut Vec<f64>, sampler: &mut PrefixSampler, op: u32) {
+            let arg = op / 2;
+            if op & 1 == 0 {
+                let i = arg as usize % weights.len();
+                let w = weight_of(arg / 64);
+                weights[i] = w;
+                sampler.set(i, w);
+            } else {
+                let w = weight_of(arg);
+                weights.push(w);
+                sampler.push(w);
             }
+        }
+        for op in ops {
+            // Low three bits pick the operation; the rest index and weigh it.
+            let (kind, arg) = (op % 8, op / 8);
+            match kind {
+                // A lone change; a later draw sees it.
+                0..=2 => {
+                    change(&mut weights, &mut sampler, arg);
+                    continue;
+                }
+                // A burst of changes from a small LCG on `arg`, then a draw.
+                3 => {
+                    let mut state = arg;
+                    for _ in 0..arg % 32 {
+                        state = state.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                        change(&mut weights, &mut sampler, state >> 8);
+                    }
+                }
+                // A draw.
+                _ => {}
+            }
+            let total: f64 = weights.iter().filter(|w| **w > 0.0).sum();
+            if total <= 0.0 {
+                continue;
+            }
+            let want = oracle.choose_weighted(&weights);
+            let got = sampler.sample(&mut fast);
+            prop_assert_eq!(got, want, "weights {:?}", weights);
+            prop_assert_eq!(fast.next_u64(), oracle.next_u64());
         }
     }
 }
